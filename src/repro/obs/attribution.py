@@ -54,7 +54,12 @@ _LEVELS = (1, 2, 3, 4)
 
 
 def snapshot(machine: TraceMachine) -> _Snapshot:
-    """Freeze *machine*'s counters (cheap: tuples of ints)."""
+    """Freeze *machine*'s counters (cheap: tuples of ints).
+
+    Replays the machine's pending event streams first, so events queued
+    before a span boundary are charged to the span that emitted them.
+    """
+    machine.flush()
     stats = machine.predictor.stats
     return _Snapshot(
         op_counts=tuple(machine.op_counts[op] for op in _OPS),

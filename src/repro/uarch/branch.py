@@ -17,6 +17,10 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.uarch.cache import _stable_argsort
 
+#: Below this many outcomes the fixed numpy-dispatch cost of the
+#: vectorized gshare scan loses to the per-event loop.
+BRANCH_BATCH_CUTOFF = 128
+
 
 @dataclass
 class BranchStats:
@@ -64,12 +68,17 @@ class GsharePredictor:
         self.history = ((self.history << 1) | int(taken)) & self.history_mask
         return correct
 
-    def predict_and_update_block(self, site: int, outcomes: np.ndarray) -> None:
-        """Record a whole outcome stream of one static site, vectorized.
+    def predict_and_update_block(
+        self, sites: int | np.ndarray, outcomes
+    ) -> None:
+        """Record a whole outcome stream, vectorized.
 
-        Bit-identical to calling :meth:`predict_and_update` per outcome.
-        The global-history sequence depends only on the outcomes (not on
-        the table), so every event's table index is computed up front by
+        *sites* is one static site for the whole stream or an array of
+        one site per outcome; *outcomes* are read as truth values.
+        Bit-identical to calling :meth:`predict_and_update` per event
+        with ``bool(outcome)``.  The global-history sequence depends
+        only on the outcomes (not on the table or the sites), so every
+        event's table index ``site ^ history`` is computed up front by
         packing sliding windows of the outcome bits; table cells are
         independent, so events are then grouped by index.  Within a
         cell, each run of same-direction outcomes acts on the 2-bit
@@ -79,16 +88,17 @@ class GsharePredictor:
         dependence collapses into a log-depth prefix composition of
         those maps (a Hillis-Steele scan with ``np.take_along_axis``).
         """
-        bits = np.asarray(outcomes, dtype=np.int64)
-        n = bits.shape[0]
+        taken = np.asarray(outcomes, dtype=bool)
+        n = taken.shape[0]
         if n == 0:
             return
-        if n < 128:
-            # Below the measured crossover the fixed numpy-dispatch cost
-            # of the vectorized path loses to the scalar loop.
-            for taken in bits.tolist():
-                self.predict_and_update(site, bool(taken))
+        if n < BRANCH_BATCH_CUTOFF:
+            update = self.predict_and_update
+            for site, outcome in zip(np.broadcast_to(sites, n).tolist(),
+                                     taken.tolist()):
+                update(site, outcome)
             return
+        bits = taken.astype(np.int64)
         hb = self.history_bits
         seed = np.empty(hb, dtype=np.int64)
         for k in range(hb):
@@ -97,7 +107,7 @@ class GsharePredictor:
         windows = np.lib.stride_tricks.sliding_window_view(ext, hb)
         powers = np.left_shift(1, np.arange(hb - 1, -1, -1, dtype=np.int64))
         histories = windows @ powers  # n + 1 values; last = final history
-        indices = (site ^ histories[:n]) & self.mask
+        indices = (sites ^ histories[:n]) & self.mask
         order = _stable_argsort(indices, self.mask + 1)
         sorted_idx = indices[order]
         sorted_out = bits[order]

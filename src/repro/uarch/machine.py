@@ -14,8 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.uarch.branch import BranchStats, GsharePredictor
-from repro.uarch.cache import MACHINE_B, CacheConfig, CacheHierarchy
+from repro.uarch.branch import BRANCH_BATCH_CUTOFF, BranchStats, GsharePredictor
+from repro.uarch.cache import (
+    BATCH_CUTOFF,
+    MACHINE_B,
+    REPLAY_BOUND,
+    CacheConfig,
+    CacheHierarchy,
+)
 from repro.uarch.events import MachineProbe, OpClass
 
 #: Result latency (cycles) per operation class, charged serially for
@@ -100,7 +106,22 @@ class MachineSummary:
 
 
 class TraceMachine(MachineProbe):
-    """Recording probe: cache + branch predictor + instruction counters."""
+    """Recording probe: cache + branch predictor + instruction counters.
+
+    Memory and branch events replay lazily.  A ``load_block`` /
+    ``store_block`` or ``branch_trace`` call below its batch cutoff only
+    queues its events (and their load, store or branch counts) on that
+    stream's pending list.  The list replays as one batch -- one line
+    stream through :meth:`CacheHierarchy.access_block`, one multi-site
+    gshare scan -- when a block at or above the cutoff arrives, when a
+    scalar event of the same stream arrives, when
+    :data:`~repro.uarch.cache.REPLAY_BOUND` events are pending, or on
+    :meth:`flush` (which :meth:`summary` and the per-phase attribution
+    call).  Cache state never depends on branches and predictor state
+    never on memory, so each stream flushes only on its own triggers,
+    and every replay is bit-identical to the per-event one.  Scalar
+    events stay eager.
+    """
 
     def __init__(self, cache_config: CacheConfig = MACHINE_B) -> None:
         self.cache_config = cache_config
@@ -110,6 +131,11 @@ class TraceMachine(MachineProbe):
         self.load_levels = {1: 0, 2: 0, 3: 0, 4: 0}
         self.store_levels = {1: 0, 2: 0, 3: 0, 4: 0}
         self.dependent_latency_cycles = 0.0
+        # Pending streams: (addresses, size, is_store) and (outcomes, site).
+        self._memory: list[tuple[np.ndarray, int, bool]] = []
+        self._memory_events = 0
+        self._branches: list[tuple[np.ndarray, int]] = []
+        self._branch_events = 0
 
     def alu(self, op_class: OpClass, count: int = 1, dependent: bool = False) -> None:
         self.op_counts[op_class] += count
@@ -117,50 +143,44 @@ class TraceMachine(MachineProbe):
             self.dependent_latency_cycles += count * OP_LATENCY[op_class]
 
     def load(self, address: int, size: int = 8) -> None:
+        if self._memory:
+            self._flush_memory()
         self.op_counts[OpClass.LOAD] += 1
         level = self.cache.access(address, size)
         self.load_levels[level] += 1
 
     def store(self, address: int, size: int = 8) -> None:
+        if self._memory:
+            self._flush_memory()
         self.op_counts[OpClass.STORE] += 1
         level = self.cache.access(address, size)
         self.store_levels[level] += 1
 
     def branch(self, site: int, taken: bool) -> None:
+        if self._branches:
+            self._flush_branches()
         self.op_counts[OpClass.BRANCH] += 1
         self.predictor.predict_and_update(site, taken)
 
     def load_block(self, addresses, size: int = 8) -> None:
-        addresses = np.asarray(addresses, dtype=np.int64)
-        n = addresses.shape[0]
-        if n == 0:
-            return
-        self.op_counts[OpClass.LOAD] += n
-        levels = self.cache.access_block(addresses, size)
-        counts = np.bincount(levels, minlength=5)
-        target = self.load_levels
-        for level in (1, 2, 3, 4):
-            target[level] += int(counts[level])
+        self._queue_memory(addresses, size, False)
 
     def store_block(self, addresses, size: int = 8) -> None:
-        addresses = np.asarray(addresses, dtype=np.int64)
-        n = addresses.shape[0]
-        if n == 0:
-            return
-        self.op_counts[OpClass.STORE] += n
-        levels = self.cache.access_block(addresses, size)
-        counts = np.bincount(levels, minlength=5)
-        target = self.store_levels
-        for level in (1, 2, 3, 4):
-            target[level] += int(counts[level])
+        self._queue_memory(addresses, size, True)
 
     def branch_trace(self, site: int, outcomes) -> None:
-        outcomes = np.asarray(outcomes)
-        n = outcomes.shape[0]
-        if n == 0:
-            return
-        self.op_counts[OpClass.BRANCH] += n
-        self.predictor.predict_and_update_block(site, outcomes)
+        n = len(outcomes)
+        if n >= BRANCH_BATCH_CUTOFF:
+            self._flush_branches()
+            self._replay_branches(outcomes, site)
+        elif n:
+            # A private bool copy: the replay runs after the caller moves
+            # on, and truthy non-bool outcomes count as taken, as per
+            # event (an int buffer would turn the whole queue into ints).
+            self._branches.append((np.array(outcomes, dtype=bool), site))
+            self._branch_events += n
+            if self._branch_events >= REPLAY_BOUND:
+                self._flush_branches()
 
     def alu_bulk(
         self, op_class: OpClass, count: int, dependent_count: int = 0
@@ -175,7 +195,7 @@ class TraceMachine(MachineProbe):
             self.load_block(address + stride * np.arange(full, dtype=np.int64), stride)
         tail = size - full * stride
         if tail > 0:
-            self.load(address + full * stride, tail)
+            self.load_block((address + full * stride,), tail)
 
     def branch_bulk(self, site: int, taken_count: int) -> None:
         """Credit the saturated iterations of a loop-back branch run: a
@@ -186,7 +206,59 @@ class TraceMachine(MachineProbe):
         self.predictor.stats.branches += taken_count
         self.predictor.stats.taken += taken_count
 
+    def flush(self) -> None:
+        """Replay both pending streams, so the cache, the predictor and
+        the level counters reflect every event recorded so far."""
+        self._flush_memory()
+        self._flush_branches()
+
+    def _queue_memory(self, addresses, size: int, is_store: bool) -> None:
+        n = len(addresses)
+        if n >= BATCH_CUTOFF:
+            self._flush_memory()
+            self._replay_memory(np.asarray(addresses, dtype=np.int64),
+                                size, is_store)
+        elif n:
+            # A private copy: the replay reads it after the caller moves on.
+            self._memory.append(
+                (np.array(addresses, dtype=np.int64), size, is_store))
+            self._memory_events += n
+            if self._memory_events >= REPLAY_BOUND:
+                self._flush_memory()
+
+    def _flush_memory(self) -> None:
+        if self._memory:
+            stream = _drain(self._memory)
+            self._memory = []
+            self._memory_events = 0
+            self._replay_memory(*stream)
+
+    def _replay_memory(self, addresses: np.ndarray, sizes, stores) -> None:
+        """Resolve one memory stream; *sizes* and the *stores* tag are
+        scalars or per-access arrays."""
+        levels = self.cache.access_block(addresses, sizes)
+        # Loads count into bins 1-4, stores into bins 6-9.
+        counts = np.bincount(levels + 5 * stores, minlength=10).tolist()
+        for level in (1, 2, 3, 4):
+            self.load_levels[level] += counts[level]
+            self.store_levels[level] += counts[level + 5]
+        self.op_counts[OpClass.LOAD] += sum(counts[1:5])
+        self.op_counts[OpClass.STORE] += sum(counts[6:10])
+
+    def _flush_branches(self) -> None:
+        if self._branches:
+            stream = _drain(self._branches)
+            self._branches = []
+            self._branch_events = 0
+            self._replay_branches(*stream)
+
+    def _replay_branches(self, outcomes, sites) -> None:
+        """Resolve one branch stream; *sites* is a scalar or per-event."""
+        self.op_counts[OpClass.BRANCH] += len(outcomes)
+        self.predictor.predict_and_update_block(sites, outcomes)
+
     def summary(self) -> MachineSummary:
+        self.flush()
         return MachineSummary(
             op_counts=dict(self.op_counts),
             load_level_counts=dict(self.load_levels),
@@ -202,3 +274,14 @@ class TraceMachine(MachineProbe):
             l2_misses=self.cache.l2.misses,
             l3_misses=self.cache.l3.misses,
         )
+
+
+def _drain(pending: list[tuple]) -> tuple:
+    """One stream from queued ``(events, *tags)`` entries: the events
+    concatenated, each entry's tags repeated once per event."""
+    if len(pending) == 1:
+        return pending[0]
+    lengths = [entry[0].shape[0] for entry in pending]
+    events, *tags = zip(*pending)
+    return (np.concatenate(events),
+            *(np.repeat(tag, lengths) for tag in tags))

@@ -1,9 +1,14 @@
 """Per-phase μarch attribution: the sums-to-whole-run invariant."""
 
-from repro.obs.attribution import UNTRACED, PhaseAttributor
+import numpy as np
+import pytest
+
+from repro.kernels import create_kernel
+from repro.obs import trace
+from repro.obs.attribution import UNTRACED, PhaseAttributor, PhaseCounters
 from repro.obs.spans import Tracer
 from repro.uarch.cache import MACHINE_B
-from repro.uarch.events import OpClass
+from repro.uarch.events import MachineProbe, OpClass
 from repro.uarch.machine import TraceMachine
 
 
@@ -153,3 +158,98 @@ class TestPhaseAnalyses:
         assert phase.op_counts == whole.op_counts
         assert phase.branch_stats == whole.branch_stats
         assert phase.l1_misses == whole.l1_misses
+
+
+class PerEventMachine(TraceMachine):
+    """A TraceMachine fed one event at a time: the base class's batch
+    fallbacks call the eager scalar methods, so nothing is ever pending."""
+
+    load_block = MachineProbe.load_block
+    store_block = MachineProbe.store_block
+    branch_trace = MachineProbe.branch_trace
+    touch_region = MachineProbe.touch_region
+
+
+def _phases_of(machine, program):
+    tracer = Tracer()
+    attributor = PhaseAttributor(machine)
+    tracer.listeners.append(attributor)
+    with trace.use(tracer):
+        program(machine, tracer)
+    attributor.finish()
+    return attributor.phases
+
+
+def _phase_total(phases) -> PhaseCounters:
+    total = PhaseCounters()
+    for counters in phases.values():
+        for index, count in enumerate(counters.op_counts):
+            total.op_counts[index] += count
+        for index in range(4):
+            total.load_levels[index] += counters.load_levels[index]
+            total.store_levels[index] += counters.store_levels[index]
+        for name in ("branches", "mispredictions", "taken",
+                     "dependent_latency_cycles", "l1_misses", "l2_misses",
+                     "l3_misses"):
+            setattr(total, name, getattr(total, name) + getattr(counters, name))
+    return total
+
+
+class TestDeferredEventsAtSpanBoundaries:
+    def test_pending_events_charged_to_the_emitting_span(self):
+        """Every block here is below its batch cutoff, so each span
+        opens and closes with events still queued; they must land in
+        the span that emitted them, exactly as per-event replay."""
+        addresses = 64 * np.arange(120, dtype=np.int64) + 8
+        outcomes = np.tile([True, True, False, True], 30)
+        seen_pending = []
+
+        def program(probe, tracer):
+            probe.load_block(addresses[:40])
+            seen_pending.append(bool(probe._memory))
+            with tracer.span("phase/a"):
+                probe.branch_trace(5, outcomes[:50])
+                probe.store_block(addresses[40:90], 16)
+                seen_pending.append(bool(probe._branches))
+                with tracer.span("phase/a/inner"):
+                    probe.load_block(addresses[:30], 100)
+                    probe.branch_trace(6, outcomes[50:])
+                    probe.alu_bulk(OpClass.VECTOR_ALU, 40, 10)
+                probe.branch_run(7, 20)
+                probe.load_block(addresses[60:], 8)
+            probe.touch_region(1 << 20, 1000)
+
+        deferred = TraceMachine(MACHINE_B)
+        deferred_phases = _phases_of(deferred, program)
+        assert seen_pending[:2] == [True, True]
+        eager = PerEventMachine(MACHINE_B)
+        eager_phases = _phases_of(eager, program)
+        assert deferred_phases == eager_phases
+        assert deferred.summary() == eager.summary()
+        untraced = deferred_phases[UNTRACED]
+        assert sum(untraced.load_levels) == 40 + 16  # 15 lines + tail
+        assert deferred_phases["phase/a/inner"].branches == 70
+
+    @pytest.mark.parametrize("name", ["ssw", "gwfa-cr"])
+    def test_kernel_phases_sum_to_whole_run(self, name, small_suite):
+        """The two kernels whose event streams deferral reshapes most:
+        per-phase counters still sum exactly to the whole-run summary,
+        and the queue left at the close of the execute span lands in
+        that span, not in the untraced tail."""
+        kernel = create_kernel(name, scale=0.25, seed=0)
+        kernel.ensure_prepared()
+        machine = TraceMachine(MACHINE_B)
+        phases = _phases_of(
+            machine, lambda probe, tracer: kernel.run(probe=probe))
+        assert phases[UNTRACED] == PhaseCounters()
+        assert phases[f"kernel/{name}/execute"].instructions > 0
+        total = _phase_total(phases).summary(MACHINE_B)
+        whole = machine.summary()
+        assert total.op_counts == whole.op_counts
+        assert total.load_level_counts == whole.load_level_counts
+        assert total.store_level_counts == whole.store_level_counts
+        assert total.branch_stats == whole.branch_stats
+        assert (total.l1_misses, total.l2_misses, total.l3_misses) == (
+            whole.l1_misses, whole.l2_misses, whole.l3_misses)
+        assert total.dependent_latency_cycles == pytest.approx(
+            whole.dependent_latency_cycles)

@@ -2,7 +2,15 @@
 
 import random
 
-from repro.uarch.branch import BimodalPredictor, GsharePredictor
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.uarch.branch import (
+    BRANCH_BATCH_CUTOFF,
+    BimodalPredictor,
+    GsharePredictor,
+)
 
 
 class TestGshare:
@@ -31,6 +39,45 @@ class TestGshare:
         predictor.predict_and_update(1, False)
         assert predictor.stats.branches == 2
         assert predictor.stats.taken == 1
+
+    @given(
+        n=st.one_of(st.integers(min_value=0, max_value=40),
+                    st.sampled_from([BRANCH_BATCH_CUTOFF - 1,
+                                     BRANCH_BATCH_CUTOFF, 600])),
+        n_sites=st.integers(min_value=1, max_value=9),
+        bias=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=999),
+        warmup=st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multi_site_block_matches_scalar(self, n, n_sites, bias, seed,
+                                             warmup):
+        """One block over per-event sites replays exactly like the
+        per-event loop, from a trained (non-initial) predictor state."""
+        rng = np.random.default_rng(seed)
+        site_pool = rng.integers(0, 1 << 14, size=n_sites)
+        sites = site_pool[rng.integers(0, n_sites, size=n)]
+        outcomes = rng.random(n) < bias
+        scalar, block = GsharePredictor(), GsharePredictor()
+        for predictor in (scalar, block):
+            for i in range(warmup):
+                predictor.predict_and_update(i * 7, i % 3 == 0)
+        for site, taken in zip(sites.tolist(), outcomes.tolist()):
+            scalar.predict_and_update(site, taken)
+        block.predict_and_update_block(sites, outcomes)
+        assert block.table == scalar.table
+        assert block.history == scalar.history
+        assert block.stats == scalar.stats
+
+    def test_block_reads_outcomes_as_truth_values(self):
+        outcomes = np.random.default_rng(1).integers(0, 3, size=300)
+        scalar, block = GsharePredictor(), GsharePredictor()
+        for taken in outcomes.tolist():
+            scalar.predict_and_update(5, bool(taken))
+        block.predict_and_update_block(5, outcomes)
+        assert block.stats == scalar.stats
+        assert block.history == scalar.history
+        assert block.table == scalar.table
 
 
 class TestBimodal:
