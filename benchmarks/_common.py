@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro.data import default_store, scenario_spec
 from repro.harness.runner import run_suite
-from repro.serve.shards import ShardedResultStore
+from repro.harness.store import ResultStore
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -36,8 +36,8 @@ BENCH_SCENARIO = "default"
 CHAR_STUDIES = ("topdown", "cache", "instmix")
 
 #: Result store shared by every bench (and the CLI's --reuse) — the
-#: sharded, LRU-indexed store; old flat entries migrate on first use.
-STORE = ShardedResultStore(RESULTS_DIR / "cache")
+#: sharded, LRU-indexed store under ``benchmarks/results/cache/``.
+STORE = ResultStore(RESULTS_DIR / "cache")
 
 
 def bench_spec(scenario: str = BENCH_SCENARIO):

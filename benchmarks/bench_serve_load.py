@@ -38,10 +38,10 @@ from _common import RESULTS_DIR
 
 from repro import __version__
 from repro.harness.executor import _prebuild_datasets
+from repro.harness.store import ResultStore
 from repro.serve import (
     BenchService,
     ReplayResult,
-    ShardedResultStore,
     TraceSpec,
     duplicate_fraction,
     generate_requests,
@@ -106,7 +106,7 @@ def run_experiment() -> dict:
 
     result = ReplayResult()
     with tempfile.TemporaryDirectory(prefix="serve-load-") as tmp:
-        store = ShardedResultStore(Path(tmp))
+        store = ResultStore(Path(tmp))
         with BenchService(workers=WORKERS, store=store) as service:
             for lo in range(0, len(trace), CHUNK):
                 _merge(result, replay(service, trace[lo:lo + CHUNK]))

@@ -1,10 +1,11 @@
 """Corpus construction: one :class:`SuiteData` per :class:`DatasetSpec`.
 
-This is the generator behind the artifact store — the code that used to
-live behind ``repro.kernels.datasets.suite_data``'s per-process
-``lru_cache``, now driven entirely by the declarative spec.  For the
-``default`` scenario it reproduces the historical corpus bit-for-bit
-(same RNG streams), so paper-shape assertions carry over unchanged.
+This is the generator behind the artifact store, driven entirely by the
+declarative spec; callers reach it through :func:`repro.data.corpus`
+(scenario, scale, seed) or the store directly.  For the ``default``
+scenario it reproduces the historical corpus bit-for-bit (same RNG
+streams, pinned by a golden fingerprint), so paper-shape assertions
+carry over unchanged.
 
 Also here: the derived-input generators shared across kernels
 (:func:`tsu_pairs`, :func:`gbwt_queries`) and the

@@ -98,7 +98,7 @@ def _derived_digest(spec: DatasetSpec, name: str, version: int,
 
 
 @contextmanager
-def _locked(path: Path) -> Iterator[None]:
+def exclusive_lock(path: Path) -> Iterator[None]:
     """Hold an exclusive advisory lock on *path* (created if absent)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = os.open(path, os.O_CREAT | os.O_RDWR)
@@ -112,7 +112,7 @@ def _locked(path: Path) -> Iterator[None]:
         os.close(handle)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
     """Write *payload* so concurrent readers see all of it or nothing."""
     path.parent.mkdir(parents=True, exist_ok=True)
     handle, tmp_name = tempfile.mkstemp(dir=path.parent,
@@ -197,7 +197,7 @@ class ArtifactStore:
             self._count_hit(DISK, "corpus", spec)
             return loaded, DISK
 
-        with _locked(self._lock_path(spec)):
+        with exclusive_lock(self._lock_path(spec)):
             # Double-check: another process may have built while we
             # waited on the lock.
             loaded = self._load_pickle(self.corpus_path(spec))
@@ -217,7 +217,7 @@ class ArtifactStore:
 
     def _write_corpus(self, spec: DatasetSpec, data: SuiteData) -> None:
         payload = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
-        _atomic_write_bytes(self.corpus_path(spec), payload)
+        atomic_write_bytes(self.corpus_path(spec), payload)
         meta = {
             "spec": spec.key(),
             "digest": spec.digest(),
@@ -226,7 +226,7 @@ class ArtifactStore:
             "created": time.time(),
             "corpus_bytes": len(payload),
         }
-        _atomic_write_bytes(self.corpus_dir(spec) / "meta.json",
+        atomic_write_bytes(self.corpus_dir(spec) / "meta.json",
                             json.dumps(meta, indent=2, sort_keys=True).encode())
 
     # -- derived inputs ------------------------------------------------
@@ -263,7 +263,7 @@ class ArtifactStore:
         # resolution locks the same file, and a second flock on a fresh
         # descriptor would deadlock against our own held lock.
         data = self.corpus(spec) if step.needs_corpus else None
-        with _locked(self._lock_path(spec)):
+        with exclusive_lock(self._lock_path(spec)):
             loaded = self._load_pickle(path)
             if loaded is not None:
                 self._remember(key, loaded)
@@ -271,10 +271,10 @@ class ArtifactStore:
                 return loaded, DISK
             with trace.timed_span(f"data/build/derived/{name}"):
                 value = step.build(data, spec, **params)
-                _atomic_write_bytes(
+                atomic_write_bytes(
                     path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
                 )
-                _atomic_write_bytes(
+                atomic_write_bytes(
                     path.with_suffix(".json"),
                     json.dumps(
                         {"derivation": name, "version": step.version,

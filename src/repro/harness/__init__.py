@@ -15,7 +15,7 @@ from repro.harness.runner import (
     run_suite,
     save_reports,
 )
-from repro.harness.store import ResultStore, default_result_store, job_digest
+from repro.harness.store import ResultStore, job_digest
 from repro.harness.studies import (
     STUDY_REGISTRY,
     Study,
@@ -28,7 +28,7 @@ __all__ = [
     "ALL_STUDIES", "SCHEMA_VERSION", "KernelReport", "load_reports",
     "run_kernel_studies", "run_suite", "save_reports",
     "ExecutionPlan", "Job", "compile_plan", "execute_plan",
-    "ResultStore", "default_result_store", "job_digest",
+    "ResultStore", "job_digest",
     "STUDY_REGISTRY", "Study", "create_study", "register_study",
     "study_names",
 ]

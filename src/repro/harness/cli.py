@@ -47,6 +47,7 @@ from repro.data import (
 )
 from repro.errors import ReproError
 from repro.harness.runner import run_kernel_studies, run_suite, save_reports
+from repro.harness.store import ResultStore
 from repro.harness.studies import study_names
 from repro.kernels import (
     BACKENDS,
@@ -856,7 +857,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
 
     from repro.serve import (
         BenchService,
-        ShardedResultStore,
         TraceSpec,
         duplicate_fraction,
         generate_requests,
@@ -868,7 +868,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     trace_jobs = generate_requests(spec)
     dup = duplicate_fraction(trace_jobs)
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as scratch:
-        store = ShardedResultStore(args.cache_dir or scratch)
+        store = ResultStore(args.cache_dir or scratch)
         with BenchService(workers=args.workers, max_queue=args.queue_limit,
                           isolation=args.isolation, store=store,
                           telemetry_port=args.telemetry_port) as service:
@@ -1062,9 +1062,7 @@ def _command_obs(args: argparse.Namespace) -> int:
 
 
 def _command_cache(args: argparse.Namespace) -> int:
-    from repro.harness.store import default_result_store
-
-    store = default_result_store()
+    store = ResultStore()
     if args.cache_command == "list":
         entries = store.entries()
         if not entries:

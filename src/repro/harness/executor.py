@@ -45,7 +45,7 @@ from repro.data.streaming import streaming_mode
 from repro.errors import KernelError
 from repro.harness.runner import KernelReport, run_kernel_studies
 from repro.harness.studies import create_study
-from repro.harness.store import ResultStore, default_result_store
+from repro.harness.store import ResultStore
 from repro.kernels.base import KERNEL_REGISTRY, resolve_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -479,7 +479,7 @@ def execute_jobs(
     if workers < 1:
         raise KernelError("workers must be >= 1")
     if reuse and store is None:
-        store = default_result_store()
+        store = ResultStore()
 
     outcomes: list[JobOutcome | None] = [None] * len(jobs)
     pending: list[tuple[int, Job]] = []

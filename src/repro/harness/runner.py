@@ -208,8 +208,9 @@ def run_suite(
     * ``timeout`` — per-kernel wall-clock limit in seconds (enforced when
       ``jobs > 1``; a timed-out kernel's report carries an ``error``).
     * ``reuse`` — serve cache hits from (and write misses to) the result
-      ``store`` (default: :class:`repro.harness.store.ResultStore` under
-      ``benchmarks/results/cache/``).
+      ``store`` (default: the sharded, LRU-indexed
+      :class:`repro.harness.store.ResultStore` under ``$REPRO_CACHE_DIR``
+      or ``benchmarks/results/cache/``).
     * ``scenario`` — named dataset scenario from
       :data:`repro.data.SCENARIO_REGISTRY` every kernel prepares on.
     * ``stream`` — bounded-memory mode: derived kernel inputs arrive as

@@ -1,4 +1,4 @@
-"""PangenomicsBench: the benchmark suite's kernels and datasets.
+"""PangenomicsBench: the benchmark suite's kernels.
 
 Importing this package registers all kernels:
 
@@ -21,13 +21,6 @@ from repro.kernels.base import (
     kernel_names,
     register,
     resolve_backend,
-)
-from repro.kernels.datasets import (
-    SuiteData,
-    gbwt_queries,
-    mutate_sequence,
-    suite_data,
-    tsu_pairs,
 )
 
 # Importing the kernel modules registers them.
@@ -55,7 +48,6 @@ __all__ = [
     "BACKENDS", "GPU", "KERNEL_CLASSES", "KERNEL_REGISTRY", "SCALAR",
     "VECTORIZED", "Kernel", "KernelResult", "create_kernel",
     "kernel_backends", "kernel_names", "register", "resolve_backend",
-    "SuiteData", "gbwt_queries", "mutate_sequence", "suite_data", "tsu_pairs",
     "GBVKernel", "extract_gbv_inputs",
     "GBWTKernel",
     "GSSWKernel", "extract_gssw_inputs",

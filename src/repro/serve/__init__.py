@@ -2,9 +2,8 @@
 
 * :class:`~repro.serve.service.BenchService` — async submit/poll/wait/
   subscribe job API with request coalescing and admission control;
-* :class:`~repro.serve.shards.ShardedResultStore` — digest-prefix
-  sharded, LRU-bounded report cache (the flat
-  ``benchmarks/results/cache/`` layout's replacement);
+* ``ShardedResultStore`` — the serve-layer name of the report cache,
+  :class:`repro.harness.store.ResultStore` (see :mod:`repro.serve.shards`);
 * :mod:`repro.serve.loadgen` — seeded request distributions and the
   replay driver behind ``benchmarks/bench_serve_load.py`` and
   ``repro serve bench``.

@@ -22,7 +22,7 @@ Four mechanisms stack on top of the existing executor:
   double-check pattern, lifted to runs).  ``serve.coalesced`` vs
   ``serve.executed`` proves the dedup.
 * **Result caching** — completed reports land in a
-  :class:`~repro.serve.shards.ShardedResultStore`; a submission whose
+  :class:`~repro.harness.store.ResultStore`; a submission whose
   digest is already cached resolves immediately (``serve.cache_hits``).
 * **Admission control** — the queue has a high-water mark; a submission
   past it raises :class:`~repro.errors.ServiceOverloaded` carrying a
@@ -54,8 +54,7 @@ from repro.harness.executor import (
     compile_plan,
 )
 from repro.harness.runner import KernelReport
-from repro.harness.store import ResultStore, default_result_store, job_digest
-from repro.serve.shards import ShardedResultStore
+from repro.harness.store import ResultStore, job_digest
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as _trace
 from repro.obs.context import TraceContext
@@ -194,8 +193,9 @@ class BenchService:
       executor's failure-isolated pool; ``"inline"`` runs them on the
       worker thread (fast and deterministic; no timeout enforcement,
       best with ``workers=1`` or an injected ``runner``).
-    * ``store`` — the report cache; ``None`` means the shared
-      :func:`~repro.harness.store.default_result_store` (sharded).
+    * ``store`` — the report cache; ``None`` means a
+      :class:`~repro.harness.store.ResultStore` over the default cache
+      directory.
       ``reuse=False`` disables caching entirely (every submission
       executes or coalesces).
     * ``runner`` — test hook: a ``Job -> KernelReport`` callable
@@ -224,7 +224,7 @@ class BenchService:
         self.timeout = timeout
         self.isolation = isolation
         self.store = (store if store is not None
-                      else default_result_store() if reuse else None)
+                      else ResultStore() if reuse else None)
         self.runner = runner
         self.telemetry_port = telemetry_port
         self.telemetry = None
@@ -281,8 +281,6 @@ class BenchService:
         if self.telemetry is not None:
             self.telemetry.stop()
             self.telemetry = None
-        if isinstance(self.store, ShardedResultStore):
-            self.store.join_eviction()
         obs_metrics.current_registry().merge_dict(self.metrics.as_dict())
 
     def __enter__(self) -> "BenchService":
@@ -546,10 +544,8 @@ class BenchService:
         store = self.store
         if store is not None:
             try:
-                if hasattr(store, "entries"):
-                    cache["entries"] = len(store.entries())
-                if hasattr(store, "total_bytes"):
-                    cache["bytes"] = store.total_bytes()
+                cache = {"entries": len(store.entries()),
+                         "bytes": store.total_bytes()}
             except OSError:  # a scrape must not fail on store races
                 cache = {}
         return {

@@ -1,430 +1,11 @@
-"""The sharded result store — the service's bounded report cache.
+"""The serve layer's name for the result store.
 
-:class:`~repro.harness.store.ResultStore` kept every cached report as a
-flat ``<digest>.json`` directly under ``benchmarks/results/cache/``.
-That layout has two production problems: a thousand-scenario sweep puts
-thousands of files in one directory, and nothing ever bounds on-disk
-growth.  :class:`ShardedResultStore` keeps the same ``load``/``save``
-interface (it *is* a ``ResultStore``, so ``execute_plan`` and the benches
-use it unchanged) but stores reports in digest-prefix shards with an
-on-disk LRU index and a configurable byte/entry budget::
-
-    benchmarks/results/cache/
-        index.json            # {"clock", "entries": {digest: {...}}}
-        index.lock            # flock target for cross-process updates
-        3f/
-            3fa1b2c3d4e5f607.json
-        a9/
-            a9....json
-
-* **Sharding** — ``<digest[:2]>/<digest>.json`` caps per-directory fanout
-  at 256 shards regardless of sweep size.
-* **LRU index** — every hit bumps a logical clock in ``index.json``;
-  eviction removes the least-recently-used entries first.  The index is
-  advisory: if it is missing or corrupt it is rebuilt by scanning the
-  shards, and entry files remain plain per-report JSON.
-* **Budget + background eviction** — ``max_bytes`` / ``max_entries``
-  (or ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``) form a
-  high-water mark; a save that crosses it schedules eviction on a daemon
-  thread (``background_eviction=False`` makes it synchronous for
-  deterministic tests).  ``serve.cache.evictions`` counts removals and
-  ``serve.cache.bytes`` tracks the footprint.
-* **Migration** — on first use, flat entries from the old layout are
-  transparently moved into their shards (valid ones) or cleanly removed
-  (unreadable / incompatible-schema ones), so existing caches survive
-  the upgrade with no stale-path crashes.
-
-Cross-process safety mirrors the dataset ``ArtifactStore``: index
-read-modify-writes happen under an advisory ``flock`` (plus an
-in-process mutex), and both index and entries are written atomically
-(temp file + rename).
+The store itself is :class:`repro.harness.store.ResultStore`.  This
+binding keeps the ``ShardedResultStore`` name that ``perfbench/``
+imports from here and from :mod:`repro.serve`, constructs, and patches
+for its ledger spans (patching this name patches the one store class).
 """
 
-from __future__ import annotations
+from repro.harness.store import ResultStore
 
-import json
-import os
-import re
-import tempfile
-import threading
-from contextlib import contextmanager
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
-
-try:  # pragma: no cover - platform guard
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
-
-from repro.harness.runner import SCHEMA_VERSION, KernelReport
-from repro.harness.store import ResultStore, job_digest, job_key
-from repro.obs import metrics
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.executor import Job
-
-#: ``<digest>.json`` filenames eligible for shard migration / rebuild.
-_DIGEST_NAME = re.compile(r"^[0-9a-f]{16}\.json$")
-
-#: Index filename (lives next to the shards, never inside one).
-INDEX_NAME = "index.json"
-
-
-def _env_int(name: str) -> int | None:
-    value = os.environ.get(name)
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        return None
-
-
-@contextmanager
-def _flocked(path: Path) -> Iterator[None]:
-    """Hold an exclusive advisory lock on *path* (created if absent)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = os.open(path, os.O_CREAT | os.O_RDWR)
-    try:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        yield
-    finally:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-        os.close(handle)
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=path.name + ".tmp")
-    try:
-        with os.fdopen(handle, "w") as tmp:
-            tmp.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-class ShardedResultStore(ResultStore):
-    """Digest-prefix-sharded, LRU-bounded :class:`ResultStore`.
-
-    ``max_bytes`` / ``max_entries`` of ``None`` fall back to the
-    ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``
-    environment knobs; both unset means unbounded (shards and the LRU
-    index still apply, eviction never triggers).
-    """
-
-    def __init__(self, root: str | Path | None = None,
-                 max_bytes: int | None = None,
-                 max_entries: int | None = None,
-                 background_eviction: bool = True) -> None:
-        super().__init__(root)
-        self.max_bytes = (max_bytes if max_bytes is not None
-                          else _env_int("REPRO_CACHE_MAX_BYTES"))
-        self.max_entries = (max_entries if max_entries is not None
-                            else _env_int("REPRO_CACHE_MAX_ENTRIES"))
-        self.background_eviction = background_eviction
-        self._mutex = threading.Lock()
-        self._bg_lock = threading.Lock()
-        self._evictor: threading.Thread | None = None
-        self._opened = False
-
-    # -- paths ---------------------------------------------------------
-
-    def shard_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    def path(self, job: "Job") -> Path:
-        return self.shard_path(job_digest(job))
-
-    @property
-    def _index_path(self) -> Path:
-        return self.root / INDEX_NAME
-
-    @property
-    def _lock_path(self) -> Path:
-        return self.root / "index.lock"
-
-    # -- index plumbing ------------------------------------------------
-
-    def _read_index(self) -> dict:
-        try:
-            payload = json.loads(self._index_path.read_text())
-        except (OSError, ValueError):
-            payload = None
-        if (not isinstance(payload, dict)
-                or not isinstance(payload.get("entries"), dict)):
-            return self._rebuild_index()
-        payload.setdefault("clock", 0)
-        return payload
-
-    def _write_index(self, index: dict) -> None:
-        _atomic_write_text(self._index_path,
-                           json.dumps(index, sort_keys=True))
-
-    def _rebuild_index(self) -> dict:
-        """Reconstruct the LRU index by scanning the shards (used when
-        ``index.json`` is missing or corrupt — the entries themselves
-        are the source of truth)."""
-        index: dict = {"clock": 0, "entries": {}}
-        if not self.root.is_dir():
-            return index
-        for entry in sorted(self.root.glob("??/*.json")):
-            if not _DIGEST_NAME.match(entry.name):
-                continue
-            meta = self._entry_meta(entry)
-            if meta is None:
-                continue
-            index["clock"] += 1
-            meta["used"] = index["clock"]
-            index["entries"][entry.stem] = meta
-        return index
-
-    @staticmethod
-    def _entry_meta(path: Path) -> dict | None:
-        """Index metadata for an entry file, or ``None`` if the file is
-        not a compatible cached report."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("schema_version") != SCHEMA_VERSION):
-            return None
-        job = payload.get("job") or {}
-        return {
-            "bytes": path.stat().st_size,
-            "kernel": job.get("kernel", "?"),
-            "scenario": job.get("scenario", "?"),
-            "scale": job.get("scale", "?"),
-            "studies": job.get("studies", []),
-        }
-
-    @contextmanager
-    def _index(self) -> Iterator[dict]:
-        """Exclusive read-modify-write access to the on-disk index."""
-        with self._mutex, _flocked(self._lock_path):
-            index = self._read_index()
-            yield index
-            self._write_index(index)
-            metrics.gauge("serve.cache.bytes").set(float(sum(
-                meta.get("bytes", 0) for meta in index["entries"].values()
-            )))
-
-    # -- flat-layout migration -----------------------------------------
-
-    def _ensure_open(self) -> None:
-        """One-time (per instance) migration of flat-layout entries.
-
-        Valid flat ``<digest>.json`` reports move into their shard and
-        join the index; unreadable or schema-incompatible ones are
-        removed (cleanly invalidated) so no stale path is ever served.
-        """
-        if self._opened:
-            return
-        self._opened = True
-        if not self.root.is_dir():
-            return
-        flat = [entry for entry in self.root.glob("*.json")
-                if entry.name != INDEX_NAME]
-        if not flat:
-            return
-        with self._index() as index:
-            for entry in flat:
-                meta = (self._entry_meta(entry)
-                        if _DIGEST_NAME.match(entry.name) else None)
-                if meta is None:
-                    entry.unlink(missing_ok=True)
-                    metrics.counter("serve.cache.migrated",
-                                    outcome="invalidated").inc()
-                    continue
-                target = self.shard_path(entry.stem)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(entry, target)
-                index["clock"] += 1
-                meta["used"] = index["clock"]
-                index["entries"][entry.stem] = meta
-                metrics.counter("serve.cache.migrated",
-                                outcome="moved").inc()
-
-    # -- load / save ----------------------------------------------------
-
-    def load(self, job: "Job") -> KernelReport | None:
-        self._ensure_open()
-        report = super().load(job)
-        if report is not None:
-            self._touch(job_digest(job))
-        return report
-
-    def _touch(self, digest: str) -> None:
-        with self._index() as index:
-            meta = index["entries"].get(digest)
-            if meta is None:  # saved by an older layout scan; re-scan
-                meta = self._entry_meta(self.shard_path(digest))
-                if meta is None:
-                    return
-                index["entries"][digest] = meta
-            index["clock"] += 1
-            meta["used"] = index["clock"]
-
-    def save(self, job: "Job", report: KernelReport) -> Path | None:
-        if report.error is not None:
-            return None
-        self._ensure_open()
-        digest = job_digest(job)
-        path = self.shard_path(digest)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "job": job_key(job),
-            "report": self._report_payload(report),
-        }
-        _atomic_write_text(path, json.dumps(payload, indent=2,
-                                            sort_keys=True))
-        key = job_key(job)
-        with self._index() as index:
-            index["clock"] += 1
-            index["entries"][digest] = {
-                "bytes": path.stat().st_size,
-                "kernel": key["kernel"],
-                "scenario": key["scenario"],
-                "scale": key["scale"],
-                "studies": key["studies"],
-                "used": index["clock"],
-            }
-        self._maybe_evict()
-        return path
-
-    @staticmethod
-    def _report_payload(report: KernelReport) -> dict:
-        from dataclasses import asdict
-
-        return asdict(report)
-
-    # -- budget / eviction ---------------------------------------------
-
-    def _over_budget(self, index: dict) -> bool:
-        entries = index["entries"]
-        if self.max_entries is not None and len(entries) > self.max_entries:
-            return True
-        if self.max_bytes is not None:
-            total = sum(meta.get("bytes", 0) for meta in entries.values())
-            if total > self.max_bytes:
-                return True
-        return False
-
-    def _maybe_evict(self) -> None:
-        if self.max_bytes is None and self.max_entries is None:
-            return
-        if not self.background_eviction:
-            self.evict()
-            return
-        with self._bg_lock:
-            if self._evictor is not None and self._evictor.is_alive():
-                return  # an evictor is already draining the overage
-            self._evictor = threading.Thread(
-                target=self.evict, name="repro-serve-evictor", daemon=True
-            )
-            self._evictor.start()
-
-    def join_eviction(self, timeout: float | None = 5.0) -> None:
-        """Wait for an in-flight background eviction (tests, shutdown)."""
-        with self._bg_lock:
-            evictor = self._evictor
-        if evictor is not None:
-            evictor.join(timeout=timeout)
-
-    def evict(self) -> tuple[int, int]:
-        """Drop least-recently-used entries until within budget; returns
-        ``(entries, bytes)`` removed."""
-        removed = freed = 0
-        with self._index() as index:
-            entries = index["entries"]
-            by_age = sorted(entries, key=lambda d: entries[d].get("used", 0))
-            for digest in by_age:
-                if not self._over_budget(index):
-                    break
-                meta = entries.pop(digest)
-                self.shard_path(digest).unlink(missing_ok=True)
-                removed += 1
-                freed += meta.get("bytes", 0)
-        if removed:
-            metrics.counter("serve.cache.evictions").inc(removed)
-        return removed, freed
-
-    # -- maintenance (repro cache {list,gc}) ----------------------------
-
-    def total_bytes(self) -> int:
-        self._ensure_open()
-        with self._index() as index:
-            return sum(meta.get("bytes", 0)
-                       for meta in index["entries"].values())
-
-    def entries(self) -> list[dict]:
-        """Index metadata for every cached report, most recent first."""
-        self._ensure_open()
-        with self._index() as index:
-            found = [{"digest": digest, **meta}
-                     for digest, meta in index["entries"].items()]
-        found.sort(key=lambda meta: -meta.get("used", 0))
-        return found
-
-    def gc(self, everything: bool = False) -> tuple[int, int]:
-        """Remove unservable entries and enforce the budget; returns
-        ``(entries, bytes)`` removed.
-
-        Unservable means unreadable or written by a different report
-        schema.  Orphan files (on disk but unindexed) are adopted into
-        the index; orphan index rows (no file) are dropped.
-        ``everything=True`` clears the store.
-        """
-        self._ensure_open()
-        if everything:
-            freed = self.total_bytes()
-            return self.clear(), freed
-        removed = freed = 0
-        with self._index() as index:
-            entries = index["entries"]
-            on_disk = {path.stem: path for path in self.root.glob("??/*.json")
-                       if _DIGEST_NAME.match(path.name)}
-            for digest in list(entries):
-                if digest not in on_disk:
-                    del entries[digest]
-            for digest, path in on_disk.items():
-                meta = self._entry_meta(path)
-                if meta is None:  # stale schema / corrupt: unservable
-                    freed += path.stat().st_size
-                    path.unlink(missing_ok=True)
-                    entries.pop(digest, None)
-                    removed += 1
-                elif digest not in entries:
-                    index["clock"] += 1
-                    meta["used"] = index["clock"]
-                    entries[digest] = meta
-        evicted, evicted_bytes = self.evict()
-        return removed + evicted, freed + evicted_bytes
-
-    def clear(self) -> int:
-        """Delete every cached report (and the index); returns the
-        number of entries removed."""
-        import shutil
-
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        with self._mutex, _flocked(self._lock_path):
-            for entry in list(self.root.iterdir()):
-                if entry.is_dir():
-                    removed += sum(1 for p in entry.glob("*.json")
-                                   if _DIGEST_NAME.match(p.name))
-                    shutil.rmtree(entry, ignore_errors=True)
-                elif entry.suffix == ".json" and entry.name != INDEX_NAME:
-                    removed += 1
-                    entry.unlink(missing_ok=True)
-            self._index_path.unlink(missing_ok=True)
-        return removed
+ShardedResultStore = ResultStore

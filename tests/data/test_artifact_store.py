@@ -9,6 +9,7 @@ import pytest
 from repro.data import (
     ArtifactStore,
     DatasetSpec,
+    corpus,
     derivation,
     ensure_corpus,
     scenario_spec,
@@ -190,14 +191,13 @@ class TestMaintenance:
         assert origin == BUILT
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestCompatShim:
-    def test_suite_data_resolves_through_store(self, tmp_path):
-        from repro.kernels.datasets import suite_data
+    """The corpus entry points callers use resolve through the store."""
 
+    def test_suite_data_resolves_through_store(self, tmp_path):
         with use_store(ArtifactStore(tmp_path)) as store:
-            data = suite_data(0.05, 0)
-            assert data is suite_data(0.05, 0)
+            data = corpus("default", 0.05, 0)
+            assert data is corpus("default", 0.05, 0)
             assert store.corpus_path(
                 scenario_spec("default", scale=0.05, seed=0)
             ).exists()
@@ -205,12 +205,10 @@ class TestCompatShim:
     def test_shim_cache_is_bounded(self, tmp_path):
         """A scale sweep must not pin every corpus for process lifetime
         (the old ``lru_cache(maxsize=4)`` regression)."""
-        from repro.kernels.datasets import suite_data
-
         store = ArtifactStore(tmp_path, memory_slots=2)
         with use_store(store):
             for scale in (0.05, 0.06, 0.07, 0.08):
-                suite_data(scale, 0)
+                corpus("default", scale, 0)
         gc.collect()
         alive = sum(1 for _ in store._memory.values())
         assert alive <= 2

@@ -19,8 +19,10 @@ from repro.data import (
     ArtifactStore,
     DatasetSpec,
     build_corpus,
+    corpus,
     corpus_fingerprint,
     gbwt_queries,
+    scenario_spec,
     tsu_pairs,
     use_store,
 )
@@ -31,6 +33,11 @@ from repro.obs import metrics
 SMALL_KWARGS = dict(genome_length=1500, n_haplotypes=3, short_reads=20,
                     long_reads=4, long_read_length=400)
 SMALL = DatasetSpec(**SMALL_KWARGS)
+
+#: Golden fingerprint of the ``default`` corpus at scale 0.05, seed 0:
+#: the historical corpus bytes every route to the default scenario must
+#: keep reproducing.
+GOLDEN_FINGERPRINT = "904b83702eaccf38"
 
 #: Source tree for subprocess imports (tests run without installation).
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -75,6 +82,15 @@ class TestCrossProcessDeterminism:
         loaded, origin = store.fetch(SMALL)
         assert origin == DISK
         assert corpus_fingerprint(loaded) == corpus_fingerprint(built)
+
+
+    def test_default_corpus_matches_golden_fingerprint(self):
+        """The store-backed ``repro.data.corpus`` and a raw
+        ``build_corpus`` from the spec produce the pinned bytes."""
+        via_data = corpus("default", 0.05, 0)
+        via_build = build_corpus(scenario_spec("default", scale=0.05))
+        assert corpus_fingerprint(via_data) == GOLDEN_FINGERPRINT
+        assert corpus_fingerprint(via_build) == GOLDEN_FINGERPRINT
 
 
 class TestConcurrentBuildOnce:

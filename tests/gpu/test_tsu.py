@@ -5,7 +5,7 @@ import pytest
 from repro.align.myers import edit_distance
 from repro.errors import SimulationError
 from repro.gpu.tsu import cpu_wfa_time_model, tsu_align_batch
-from repro.kernels.datasets import tsu_pairs
+from repro.data import tsu_pairs
 
 
 class TestTSU:

@@ -7,6 +7,8 @@ import pytest
 from repro.data import ArtifactStore, use_store
 from repro.errors import SweepError
 from repro.harness.cli import build_parser, main
+from repro.harness.executor import compile_plan
+from repro.harness.store import ResultStore, job_digest
 
 
 class TestCli:
@@ -64,7 +66,7 @@ class TestCli:
         second = capsys.readouterr().out
         # The cached report is served verbatim: identical wall seconds.
         assert second == first
-        assert list((tmp_path / "cache").glob("*.json"))
+        assert list((tmp_path / "cache").glob("??/*.json"))
 
     def test_failing_kernel_exits_nonzero(self, capsys, fake_kernels):
         code = main(["run", "--kernels", "fake-crash", "fake-ok",
@@ -172,6 +174,63 @@ class TestDataCli:
             assert "removed 1 dataset(s)" in capsys.readouterr().out
             assert main(["data", "list"]) == 0
             assert "no datasets" in capsys.readouterr().out
+
+
+class TestCacheCli:
+    """``repro cache list|gc`` against a ``$REPRO_CACHE_DIR`` store."""
+
+    @pytest.fixture
+    def cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def _run_reuse(seed):
+        assert main(["run", "fake-ok", "--studies", "timing",
+                     "--scale", "0.05", "--seed", str(seed),
+                     "--reuse"]) == 0
+
+    def test_list_empty_store(self, capsys, cache_dir):
+        assert main(["cache", "list"]) == 0
+        assert (f"no cached reports under {cache_dir}"
+                in capsys.readouterr().out)
+
+    def test_list_after_run_reuse(self, capsys, cache_dir, fake_kernels):
+        self._run_reuse(seed=0)
+        capsys.readouterr()
+        assert main(["cache", "list"]) == 0
+        out = capsys.readouterr().out
+        [entry] = ResultStore(cache_dir).entries()
+        assert entry["digest"] in out
+        assert "fake-ok" in out and "timing" in out
+
+    def test_gc_max_entries_keeps_most_recent(self, capsys, cache_dir,
+                                              fake_kernels):
+        for seed in range(3):
+            self._run_reuse(seed)
+        self._run_reuse(seed=0)  # a cache hit: seed 0 is now the MRU
+        capsys.readouterr()
+        [job] = compile_plan(("fake-ok",), studies=("timing",), scale=0.05,
+                             seed=0).jobs
+        assert main(["cache", "gc", "--max-entries", "1"]) == 0
+        assert "removed 2 report(s)" in capsys.readouterr().out
+        store = ResultStore(cache_dir)
+        assert [meta["digest"] for meta in store.entries()] == [
+            job_digest(job)]
+        assert len(list(cache_dir.glob("??/*.json"))) == 1
+
+    def test_gc_all(self, capsys, cache_dir, fake_kernels):
+        for seed in range(2):
+            self._run_reuse(seed)
+        (cache_dir / "keep.json").write_text("{}")
+        (cache_dir / "keep").mkdir()
+        capsys.readouterr()
+        assert main(["cache", "gc", "--all"]) == 0
+        assert "removed 2 report(s)" in capsys.readouterr().out
+        assert ResultStore(cache_dir).entries() == []
+        assert not list(cache_dir.glob("??/*.json"))
+        assert (cache_dir / "keep.json").is_file()
+        assert (cache_dir / "keep").is_dir()
 
 
 class TestSweepCli:

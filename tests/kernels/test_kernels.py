@@ -73,12 +73,12 @@ class TestExecution:
 
 class TestDatasets:
     def test_suite_data_memoized(self):
-        from repro.kernels.datasets import suite_data
+        from repro.data import corpus
 
-        assert suite_data(SCALE, 0) is suite_data(SCALE, 0)
+        assert corpus("default", SCALE, 0) is corpus("default", SCALE, 0)
 
     def test_gbwt_queries_are_real_subpaths(self, small_suite):
-        from repro.kernels.datasets import gbwt_queries
+        from repro.data import gbwt_queries
 
         graph = small_suite.graph
         paths = [tuple(graph.path(n).nodes) for n in graph.path_names()]
@@ -90,7 +90,7 @@ class TestDatasets:
             )
 
     def test_tsu_pairs_shape(self):
-        from repro.kernels.datasets import tsu_pairs
+        from repro.data import tsu_pairs
 
         pairs = tsu_pairs(3, 200, error_rate=0.01, seed=2)
         assert len(pairs) == 3

@@ -20,12 +20,12 @@ from pathlib import Path
 
 from serveutil import make_job, ok_report
 
+from repro.harness.store import ResultStore
 from repro.serve import (
     CACHED,
     COALESCED,
     EXECUTED,
     BenchService,
-    ShardedResultStore,
     counter_total,
 )
 
@@ -44,7 +44,7 @@ class TestCoalescing:
             return ok_report(job)
 
         with BenchService(workers=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=runner) as svc:
             first = svc.submit_job(make_job())
             while not calls:  # first is genuinely mid-execution
@@ -65,7 +65,7 @@ class TestCoalescing:
     def test_queued_duplicates_all_resolve_from_one_execution(self, tmp_path):
         calls = []
         svc = BenchService(workers=2, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=lambda job: (calls.append(job),
                                                ok_report(job))[1],
                            autostart=False)
@@ -86,7 +86,7 @@ class TestCoalescing:
     def test_distinct_jobs_do_not_coalesce(self, tmp_path):
         calls = []
         svc = BenchService(workers=2, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=lambda job: (calls.append(job),
                                                ok_report(job))[1],
                            autostart=False)
@@ -104,10 +104,11 @@ class TestCoalescing:
 #: then prints the counter totals the parent asserts on.
 _CONTENTION_SCRIPT = """
 import json, sys
-from repro.serve import BenchService, ShardedResultStore, counter_total
+from repro.harness.store import ResultStore
+from repro.serve import BenchService, counter_total
 
 cache_dir, n = sys.argv[1], int(sys.argv[2])
-service = BenchService(workers=4, store=ShardedResultStore(cache_dir),
+service = BenchService(workers=4, store=ResultStore(cache_dir),
                        autostart=False)
 handles = [service.submit("tsu", studies=("timing",), scale=0.05)
            for _ in range(n)]

@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 from serveutil import ok_report
 
-from repro.harness.store import job_digest
+from repro.harness.store import ResultStore, job_digest
 from repro.serve import (
     BenchService,
-    ShardedResultStore,
     TraceSpec,
     duplicate_fraction,
     generate_requests,
@@ -74,7 +73,7 @@ class TestReplay:
             return ok_report(job)
 
         with BenchService(workers=2, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=runner) as svc:
             result = replay(svc, trace)
 
@@ -104,7 +103,7 @@ class TestReplay:
         distinct = working_set(spec)  # three distinct jobs
         trace = distinct * 2
         with BenchService(workers=1, max_queue=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=slow) as svc:
             result = replay(svc, trace, wait_timeout=30)
         assert result.completed == len(trace)

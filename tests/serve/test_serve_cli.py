@@ -7,7 +7,7 @@ import json
 from serveutil import make_job, ok_report
 
 from repro.harness.cli import main
-from repro.serve import ShardedResultStore
+from repro.harness.store import ResultStore
 
 
 class TestServeSubmitCli:
@@ -55,7 +55,7 @@ class TestServeSubmitCli:
 
 class TestCacheCli:
     def _populated(self, root, count=3):
-        store = ShardedResultStore(root)
+        store = ResultStore(root)
         for seed in range(count):
             job = make_job(seed=seed, kernel=f"fake-{seed}")
             store.save(job, ok_report(job))
@@ -78,13 +78,13 @@ class TestCacheCli:
         self._populated(tmp_path)
         assert main(["cache", "gc", "--max-entries", "1"]) == 0
         assert "removed 2 report(s)" in capsys.readouterr().out
-        assert len(ShardedResultStore(tmp_path).entries()) == 1
+        assert len(ResultStore(tmp_path).entries()) == 1
 
     def test_gc_all_clears_everything(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         self._populated(tmp_path)
         assert main(["cache", "gc", "--all"]) == 0
-        assert ShardedResultStore(tmp_path).entries() == []
+        assert ResultStore(tmp_path).entries() == []
 
 
 class TestServeStatusCli:

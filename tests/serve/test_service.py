@@ -14,6 +14,7 @@ from repro.errors import (
     ServeTimeout,
     ServiceOverloaded,
 )
+from repro.harness.store import ResultStore
 from repro.obs import trace
 from repro.obs.spans import Tracer
 from repro.serve import (
@@ -22,7 +23,6 @@ from repro.serve import (
     EXECUTED,
     QUEUED,
     BenchService,
-    ShardedResultStore,
     counter_total,
 )
 
@@ -43,7 +43,7 @@ class TestAsyncJobAPI:
     def test_submit_returns_immediately_wait_returns_report(self, tmp_path):
         calls = []
         with BenchService(workers=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=counting_runner(calls, delay=0.05)) as svc:
             handle = svc.submit_job(make_job(seed=1))
             report = handle.wait(timeout=10)
@@ -57,7 +57,7 @@ class TestAsyncJobAPI:
 
     def test_poll_reports_queued_before_start(self, tmp_path):
         svc = BenchService(workers=1, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=counting_runner([]), autostart=False)
         handle = svc.submit_job(make_job())
         assert handle.poll().state == QUEUED
@@ -68,7 +68,7 @@ class TestAsyncJobAPI:
 
     def test_wait_timeout_raises_serve_timeout(self, tmp_path):
         svc = BenchService(workers=1, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=counting_runner([]), autostart=False)
         handle = svc.submit_job(make_job())
         with pytest.raises(ServeTimeout, match="queued"):
@@ -80,7 +80,7 @@ class TestAsyncJobAPI:
     def test_subscribe_before_and_after_resolution(self, tmp_path):
         seen = []
         svc = BenchService(workers=1, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=counting_runner([]), autostart=False)
         handle = svc.submit_job(make_job())
         handle.subscribe(lambda report: seen.append(("early", report.kernel)))
@@ -95,7 +95,7 @@ class TestAsyncJobAPI:
             raise RuntimeError("subscriber bug")
 
         with BenchService(workers=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=counting_runner([])) as svc:
             first = svc.submit_job(make_job(seed=1))
             first.subscribe(explode)
@@ -106,14 +106,14 @@ class TestAsyncJobAPI:
 
     def test_submit_validates_kernel_name(self, tmp_path):
         with BenchService(workers=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=counting_runner([])) as svc:
             with pytest.raises(KernelError):
                 svc.submit("no-such-kernel")
 
     def test_submit_after_shutdown_rejected(self, tmp_path):
         svc = BenchService(workers=1, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=counting_runner([]))
         svc.shutdown()
         with pytest.raises(ServeError, match="shutting down"):
@@ -127,7 +127,7 @@ class TestAsyncJobAPI:
 
     def test_stats_snapshot(self, tmp_path):
         with BenchService(workers=3, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=counting_runner([])) as svc:
             svc.submit_job(make_job()).wait(timeout=10)
             stats = svc.stats()
@@ -139,7 +139,7 @@ class TestAsyncJobAPI:
 
 class TestResultCaching:
     def test_cache_hit_resolves_without_execution(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         job = make_job(seed=3)
         store.save(job, ok_report(job))
         calls = []
@@ -155,7 +155,7 @@ class TestResultCaching:
         assert counter_total(exported, "serve.executed") == 0
 
     def test_execution_populates_cache_for_next_submission(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         calls = []
         job = make_job(seed=4)
         with BenchService(workers=1, isolation="inline", store=store,
@@ -167,7 +167,7 @@ class TestResultCaching:
         assert rerun.origin == CACHED
 
     def test_failed_report_is_not_cached(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         job = make_job(seed=5)
 
         def crash(_job):
@@ -197,7 +197,7 @@ class TestResultCaching:
 class TestAdmissionControl:
     def test_overload_rejected_with_retry_after(self, tmp_path):
         svc = BenchService(workers=1, max_queue=2, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=counting_runner([]), autostart=False)
         svc.submit_job(make_job(seed=1))
         svc.submit_job(make_job(seed=2))
@@ -210,7 +210,7 @@ class TestAdmissionControl:
         svc.shutdown()
 
     def test_duplicates_and_hits_bypass_admission_control(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         cached_job = make_job(seed=9)
         store.save(cached_job, ok_report(cached_job))
         svc = BenchService(workers=1, max_queue=1, isolation="inline",
@@ -229,7 +229,7 @@ class TestAdmissionControl:
 
     def test_retry_after_tracks_backlog(self, tmp_path):
         svc = BenchService(workers=2, max_queue=0, isolation="inline",
-                           store=ShardedResultStore(tmp_path),
+                           store=ResultStore(tmp_path),
                            runner=counting_runner([]), autostart=False)
         with pytest.raises(ServiceOverloaded) as shallow:
             svc.submit_job(make_job(seed=1))
@@ -251,7 +251,7 @@ class TestObservability:
         job = make_job(seed=7)
         with trace.use(tracer):
             with BenchService(workers=1, isolation="inline",
-                              store=ShardedResultStore(tmp_path),
+                              store=ResultStore(tmp_path),
                               runner=counting_runner([], delay=0.01)) as svc:
                 svc.submit_job(job).wait(timeout=10)
                 svc.submit_job(job).wait(timeout=10)  # warm: cache hit
@@ -273,7 +273,7 @@ class TestObservability:
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.use(registry):
             with BenchService(workers=1, isolation="inline",
-                              store=ShardedResultStore(tmp_path),
+                              store=ResultStore(tmp_path),
                               runner=counting_runner([])) as svc:
                 svc.submit_job(make_job()).wait(timeout=10)
         exported = registry.as_dict()
@@ -286,7 +286,7 @@ class TestEngineExecution:
 
     def test_inline_executes_registered_kernel(self, fake_kernels, tmp_path):
         with BenchService(workers=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path)) as svc:
+                          store=ResultStore(tmp_path)) as svc:
             handle = svc.submit("fake-ok", studies=("timing",), scale=0.05)
             report = handle.wait(timeout=60)
         assert report.error is None
@@ -295,7 +295,7 @@ class TestEngineExecution:
 
     def test_worker_survives_crashing_kernel(self, fake_kernels, tmp_path):
         with BenchService(workers=1, isolation="inline",
-                          store=ShardedResultStore(tmp_path)) as svc:
+                          store=ResultStore(tmp_path)) as svc:
             crashed = svc.submit("fake-crash", scale=0.05)
             assert crashed.wait(timeout=60).error is not None
             healthy = svc.submit("fake-ok", scale=0.05)
@@ -303,13 +303,13 @@ class TestEngineExecution:
 
     def test_process_isolation_enforces_timeout(self, fake_kernels, tmp_path):
         with BenchService(workers=1, isolation="process", timeout=1.0,
-                          store=ShardedResultStore(tmp_path)) as svc:
+                          store=ResultStore(tmp_path)) as svc:
             handle = svc.submit("fake-hang", scale=0.05)
             report = handle.wait(timeout=60)
         assert report.error is not None
         assert "Timeout" in report.error
         # Timed-out reports are failures: never cached.
-        assert ShardedResultStore(tmp_path).load(handle.job) is None
+        assert ResultStore(tmp_path).load(handle.job) is None
 
 
 class TestConcurrency:
@@ -323,7 +323,7 @@ class TestConcurrency:
             return ok_report(job)
 
         with BenchService(workers=4, isolation="inline",
-                          store=ShardedResultStore(tmp_path),
+                          store=ResultStore(tmp_path),
                           runner=runner) as svc:
             handles = [svc.submit_job(make_job(seed=seed))
                        for seed in range(4)]

@@ -1,21 +1,16 @@
-"""ShardedResultStore: layout, migration, LRU eviction, budgets, gc."""
+"""The result store's sharded layout: LRU eviction, budgets, index
+resilience, gc."""
 
 from __future__ import annotations
 
-import json
-
 from serveutil import make_job, ok_report
 
-from repro.harness.store import (
-    ResultStore,
-    default_result_store,
-    job_digest,
-)
+from repro.harness.store import ResultStore, job_digest
 from repro.obs import metrics as obs_metrics
 from repro.serve.shards import ShardedResultStore
 
 
-def populate(store: ShardedResultStore, count: int, **job_kwargs) -> list:
+def populate(store: ResultStore, count: int, **job_kwargs) -> list:
     """Save *count* distinct reports; returns their jobs in save order."""
     jobs = [make_job(seed=seed, **job_kwargs) for seed in range(count)]
     for job in jobs:
@@ -25,7 +20,7 @@ def populate(store: ShardedResultStore, count: int, **job_kwargs) -> list:
 
 class TestShardedLayout:
     def test_entries_land_in_digest_prefix_shards(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         job = make_job()
         path = store.save(job, ok_report(job))
         digest = job_digest(job)
@@ -35,24 +30,24 @@ class TestShardedLayout:
 
     def test_load_roundtrip_across_instances(self, tmp_path):
         job = make_job(seed=11)
-        ShardedResultStore(tmp_path).save(job, ok_report(job))
-        loaded = ShardedResultStore(tmp_path).load(job)
+        ResultStore(tmp_path).save(job, ok_report(job))
+        loaded = ResultStore(tmp_path).load(job)
         assert loaded is not None
         assert loaded.kernel == job.kernel
         assert loaded.error is None
 
     def test_miss_returns_none(self, tmp_path):
-        assert ShardedResultStore(tmp_path).load(make_job()) is None
+        assert ResultStore(tmp_path).load(make_job()) is None
 
     def test_failed_reports_are_never_stored(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         job = make_job()
         assert store.save(job, ok_report(job, error="RuntimeError: x")) is None
         assert store.load(job) is None
         assert store.entries() == []
 
     def test_clear_removes_shards_and_index(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         populate(store, 3)
         assert store.clear() == 3
         assert not (tmp_path / "index.json").exists()
@@ -60,53 +55,9 @@ class TestShardedLayout:
         assert store.entries() == []
 
 
-class TestFlatMigration:
-    def test_valid_flat_entries_move_into_shards(self, tmp_path):
-        # Seed the old layout with the pre-shard store implementation.
-        flat = ResultStore(tmp_path)
-        jobs = [make_job(seed=seed) for seed in range(3)]
-        for job in jobs:
-            flat.save(job, ok_report(job))
-        assert len(list(tmp_path.glob("*.json"))) == 3
-
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            store = ShardedResultStore(tmp_path)
-            for job in jobs:  # every migrated report is still served
-                assert store.load(job) is not None
-        # No flat entries remain (only the index), all live in shards.
-        assert {p.name for p in tmp_path.glob("*.json")} == {"index.json"}
-        for job in jobs:
-            assert store.path(job).is_file()
-        moved = registry.as_dict()["counters"][
-            "serve.cache.migrated{outcome=moved}"]
-        assert moved == 3
-
-    def test_unservable_flat_entries_are_cleanly_invalidated(self, tmp_path):
-        corrupt = tmp_path / "deadbeefdeadbeef.json"
-        corrupt.write_text("{not json")
-        stale = tmp_path / "feedfacefeedface.json"
-        stale.write_text(json.dumps({"schema_version": -1, "report": {}}))
-        foreign = tmp_path / "notes.json"
-        foreign.write_text("{}")
-
-        registry = obs_metrics.MetricsRegistry()
-        with obs_metrics.use(registry):
-            store = ShardedResultStore(tmp_path)
-            assert store.load(make_job()) is None  # no stale-path crash
-        assert not corrupt.exists()
-        assert not stale.exists()
-        assert not foreign.exists()
-        invalidated = registry.as_dict()["counters"][
-            "serve.cache.migrated{outcome=invalidated}"]
-        assert invalidated == 3
-        assert store.entries() == []
-
-
 class TestLRUEviction:
     def test_least_recently_used_evicted_first(self, tmp_path):
-        store = ShardedResultStore(tmp_path, max_entries=2,
-                                   background_eviction=False)
+        store = ResultStore(tmp_path, max_entries=2)
         first, second = populate(store, 2)
         assert store.load(first) is not None  # touch: first is now MRU
         third = make_job(seed=2)
@@ -117,7 +68,7 @@ class TestLRUEviction:
         assert len(store.entries()) == 2
 
     def test_entries_listed_most_recent_first(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         jobs = populate(store, 3)
         store.load(jobs[0])
         listed = store.entries()
@@ -127,33 +78,23 @@ class TestLRUEviction:
         }
 
     def test_byte_budget_enforced(self, tmp_path):
-        unbounded = ShardedResultStore(tmp_path)
+        unbounded = ResultStore(tmp_path)
         populate(unbounded, 4)
         total = unbounded.total_bytes()
         per_entry = total // 4
-        bounded = ShardedResultStore(tmp_path, max_bytes=2 * per_entry + 1,
-                                     background_eviction=False)
+        bounded = ResultStore(tmp_path, max_bytes=2 * per_entry + 1)
         removed, freed = bounded.evict()
         assert removed == 2
         assert freed > 0
         assert bounded.total_bytes() <= 2 * per_entry + 1
         assert len(bounded.entries()) == 2
 
-    def test_background_eviction_runs_off_thread(self, tmp_path):
-        store = ShardedResultStore(tmp_path, max_entries=1,
-                                   background_eviction=True)
-        populate(store, 3)
-        store.join_eviction()
-        # Possibly several background passes; the budget always wins.
-        store.evict()
-        assert len(store.entries()) == 1
-
     def test_eviction_metrics(self, tmp_path):
         registry = obs_metrics.MetricsRegistry()
         with obs_metrics.use(registry):
-            store = ShardedResultStore(tmp_path, max_entries=1,
-                                       background_eviction=False)
-            populate(store, 3)
+            store = ResultStore(tmp_path, max_entries=1)
+            populate(store, 3)  # each over-budget save evicts in place
+        assert len(store.entries()) == 1
         exported = registry.as_dict()
         assert exported["counters"]["serve.cache.evictions"] == 2
         assert exported["gauges"]["serve.cache.bytes"] > 0
@@ -161,32 +102,32 @@ class TestLRUEviction:
     def test_env_budget_knobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")
         monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "not-a-number")
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         assert store.max_entries == 7
         assert store.max_bytes is None  # unparsable -> unbounded
 
 
 class TestIndexResilience:
     def test_corrupt_index_is_rebuilt_from_shards(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         jobs = populate(store, 3)
         (tmp_path / "index.json").write_text("}}garbage{{")
-        fresh = ShardedResultStore(tmp_path)
+        fresh = ResultStore(tmp_path)
         assert len(fresh.entries()) == 3
         for job in jobs:
             assert fresh.load(job) is not None
 
     def test_missing_index_is_rebuilt(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         jobs = populate(store, 2)
         (tmp_path / "index.json").unlink()
-        assert len(ShardedResultStore(tmp_path).entries()) == 2
-        assert ShardedResultStore(tmp_path).load(jobs[0]) is not None
+        assert len(ResultStore(tmp_path).entries()) == 2
+        assert ResultStore(tmp_path).load(jobs[0]) is not None
 
 
 class TestGC:
     def test_gc_drops_unservable_and_adopts_orphans(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         jobs = populate(store, 2)
         # An unservable shard file (corrupt payload)...
         bad = tmp_path / "ab" / "abadcafe0badcafe.json"
@@ -196,7 +137,7 @@ class TestGC:
         store.path(jobs[0]).unlink()
         # ...and an orphan file (a valid report on disk, never indexed).
         orphan_job = make_job(seed=77)
-        elsewhere = ShardedResultStore(tmp_path / "elsewhere")
+        elsewhere = ResultStore(tmp_path / "elsewhere")
         written = elsewhere.save(orphan_job, ok_report(orphan_job))
         orphan_path = store.path(orphan_job)
         orphan_path.parent.mkdir(exist_ok=True)
@@ -212,7 +153,7 @@ class TestGC:
         assert store.load(orphan_job) is not None
 
     def test_gc_everything_clears_the_store(self, tmp_path):
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         populate(store, 3)
         removed, freed = store.gc(everything=True)
         assert removed == 3
@@ -224,7 +165,7 @@ class TestDefaultStore:
     def test_default_result_store_is_sharded_and_env_rooted(
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        store = default_result_store()
+        store = ResultStore()
         assert isinstance(store, ShardedResultStore)
         assert store.root == tmp_path
         job = make_job(seed=42)

@@ -92,9 +92,9 @@ class TestLinkSpans:
         assert link["attrs"]["link"] == leader.trace_id
 
     def test_cache_hit_links_to_original_trace(self, tmp_path):
-        from repro.serve.shards import ShardedResultStore
+        from repro.harness.store import ResultStore
 
-        store = ShardedResultStore(tmp_path)
+        store = ResultStore(tmp_path)
         tracer = Tracer()
         with trace.use(tracer):
             with BenchService(workers=1, isolation="inline",

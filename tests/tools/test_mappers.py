@@ -14,9 +14,9 @@ def corpus(small_suite_module):
 
 @pytest.fixture(scope="module")
 def small_suite_module():
-    from repro.kernels.datasets import suite_data
+    from repro.data import corpus
 
-    return suite_data(0.25, 0)
+    return corpus("default", 0.25, 0)
 
 
 @pytest.fixture(scope="module")

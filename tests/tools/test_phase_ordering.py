@@ -10,7 +10,7 @@ a broken ordering, not just a changed chart.
 
 import pytest
 
-from repro.kernels.datasets import suite_data
+from repro.data import corpus
 from repro.layout.pgsgd import PGSGDParams
 from repro.obs import trace
 from repro.obs.spans import Tracer
@@ -33,7 +33,7 @@ def _span_stage_seconds(tracer):
 
 @pytest.fixture(scope="module")
 def long_reads():
-    data = suite_data(TEST_SCALE, 0)
+    data = corpus("default", TEST_SCALE, 0)
     return data.graph, list(data.long_reads)[:5]
 
 
