@@ -19,10 +19,23 @@ The paper's two key GSSW observations are both modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.align.scoring import AffineScoring, VG_DEFAULT
+from repro.align.striped import (
+    NEG_INF,
+    ColumnTrace,
+    base_codes,
+    lazy_f_alu,
+    lazy_f_branches,
+    lazy_f_scalar,
+    lockstep,
+    lockstep_groups,
+    segment_length,
+    striped_profile,
+)
 from repro.backends import (
     SCALAR,
     VECTORIZED,
@@ -33,8 +46,6 @@ from repro.errors import AlignmentError
 from repro.graph.model import SequenceGraph
 from repro.graph.ops import topological_sort
 from repro.uarch.events import NULL_PROBE, AddressSpace, MachineProbe, OpClass
-
-_NEG_INF = -(10**9)
 
 
 @dataclass(frozen=True)
@@ -74,11 +85,11 @@ def graph_smith_waterman_scalar(
             e_prev = np.maximum.reduce([final_e[p] for p in parents])
         else:
             h_prev = np.zeros(m + 1, dtype=np.int64)
-            e_prev = np.full(m + 1, _NEG_INF, dtype=np.int64)
+            e_prev = np.full(m + 1, NEG_INF, dtype=np.int64)
         for offset, base in enumerate(node.sequence):
             h_curr = np.zeros(m + 1, dtype=np.int64)
-            e_curr = np.full(m + 1, _NEG_INF, dtype=np.int64)
-            f = _NEG_INF
+            e_curr = np.full(m + 1, NEG_INF, dtype=np.int64)
+            f = NEG_INF
             for i in range(1, m + 1):
                 e_curr[i] = max(h_prev[i] - open_cost, e_prev[i] - extend_cost)
                 f = max(h_curr[i - 1] - open_cost, f - extend_cost)
@@ -133,12 +144,12 @@ class GSSW:
         self.lanes = lanes
         self.probe = probe
         self.store_full_matrix = store_full_matrix
-        self.segment_length = (len(query) + lanes - 1) // lanes
+        self.segment_length = segment_length(len(query), lanes)
         self._space = address_space or AddressSpace()
         self._word_bytes = lanes * self.LANE_BYTES
         self._profile_base = self._space.alloc(4 * self.segment_length * self._word_bytes)
         self._graph_base = self._space.alloc(1 << 16)
-        self._profile = self._build_profile()
+        self._profile = striped_profile(query, scoring, lanes)
         # Per-column striped-row addresses and swizzle scatter offsets are
         # the same for every column; precompute them once for block emission.
         self._profile_row = self._profile_base + self._word_bytes * np.arange(
@@ -147,8 +158,8 @@ class GSSW:
         # Lane l / segment s holds query position l*seg + s, so walking
         # lanes then segments visits query positions 0..len(query)-1.
         self._swizzle_positions = np.arange(len(query), dtype=np.int64)
-        # The vectorized column needs open >= extend so that the lazy-F
-        # recurrence collapses to a max-plus prefix scan; an incompatible
+        # The lock-step engine needs open >= extend so that the in-column
+        # F recurrence collapses to a max-plus prefix scan; an incompatible
         # scheme downgrades to the scalar reference and says so on the
         # kernel.backend_fallback counter.
         check_backend(backend, (SCALAR, VECTORIZED), "GSSW", AlignmentError)
@@ -161,60 +172,35 @@ class GSSW:
             report_backend_fallback("gssw", requested=VECTORIZED,
                                     actual=SCALAR,
                                     reason="scoring-incompatible")
-        self._scan_steps = np.arange(self.segment_length + 1, dtype=np.int64)[:, None]
-
-    def _build_profile(self) -> dict[str, np.ndarray]:
-        seg = self.segment_length
-        profile: dict[str, np.ndarray] = {}
-        for base in "ACGT":
-            matrix = np.zeros((seg, self.lanes), dtype=np.int64)
-            for lane in range(self.lanes):
-                for segment in range(seg):
-                    position = lane * seg + segment
-                    if position < len(self.query):
-                        matrix[segment, lane] = self.scoring.substitution(
-                            self.query[position], base
-                        )
-            profile[base] = matrix
-        return profile
 
     def align(self, graph: SequenceGraph) -> GraphAlignmentResult:
         """Local-align the query to an acyclic *graph*.
 
-        The batched path computes every column with a max-plus prefix
-        scan and accumulates probe events per :meth:`align` call so the
-        trace machine sees a few large blocks instead of thousands of
-        tiny ones.  Addresses, op totals, branch streams and results are
-        identical to the scalar reference; only the block interleaving
-        differs (covered by the 1.6.0 result-store version bump).
+        The lock-step engine computes the columns; the probe events are
+        accumulated per :meth:`align` call so the trace machine sees a
+        few large blocks instead of thousands of tiny ones.  Addresses,
+        op totals, branch streams and results are identical to the
+        scalar reference; only the block interleaving differs (covered
+        by the 1.6.0 result-store version bump).
         """
         if self.vectorize:
-            return self._align_batched(graph)
+            return _align_group([self], [graph])[0]
         return self._align_reference(graph)
 
-    def _align_batched(self, graph: SequenceGraph) -> GraphAlignmentResult:
-        order = topological_sort(graph)
+    def _emit(self, graph: SequenceGraph, order: list[int],
+              trace: ColumnTrace) -> None:
+        """Report one alignment's events as end-of-:meth:`align` blocks."""
         seg = self.segment_length
         probe = self.probe
-        open_cost = self.scoring.gap_open + self.scoring.gap_extend
-        extend_cost = self.scoring.gap_extend
         word_bytes = self._word_bytes
         region = seg * word_bytes
         touch_full = region // 64
         touch_tail = region - touch_full * 64
         touch_lines = 64 * np.arange(touch_full, dtype=np.int64)
 
-        final_h: dict[int, np.ndarray] = {}
-        final_e: dict[int, np.ndarray] = {}
         matrix_base: dict[int, int] = {}
-        best = 0
-        best_node = best_offset = best_q = 0
-        cells = 0
         columns = 0
         merge_alu = 0
-        improved_flags: list[bool] = []
-        lazyf_branches: list[bool] = []
-        lazyf_alu = [0]
         adj_addrs: list[int] = []
         touch_line_blocks: list[np.ndarray] = []
         touch_tail_addrs: list[int] = []
@@ -222,62 +208,31 @@ class GSSW:
         store_blocks: list[np.ndarray] = []
 
         for node_id in order:
-            node = graph.node(node_id)
+            length = len(graph.node(node_id))
             parents = graph.predecessors(node_id)
             if parents:
+                # Node initialization: indirect graph accesses to each
+                # parent's stored final column.
                 adj_addrs.append(self._graph_base + node_id * 64)
-                h_cols = []
-                e_cols = []
                 for parent in parents:
                     base = matrix_base[parent]
                     if touch_full:
                         touch_line_blocks.append(base + touch_lines)
                     if touch_tail > 0:
                         touch_tail_addrs.append(base + touch_full * 64)
-                    h_cols.append(final_h[parent])
-                    e_cols.append(final_e[parent])
-                h_prev = np.maximum.reduce(h_cols)
-                e_prev = np.maximum.reduce(e_cols)
                 merge_alu += 2 * len(parents) * seg
-            else:
-                h_prev = np.zeros((seg, self.lanes), dtype=np.int64)
-                e_prev = np.full((seg, self.lanes), _NEG_INF, dtype=np.int64)
-            base_address = self._space.alloc(len(node) * seg * self._word_bytes)
+            base_address = self._space.alloc(length * seg * word_bytes)
             matrix_base[node_id] = base_address
-
-            h_store = h_prev
-            e = e_prev
-            sequence_base = self._space.alloc(len(node))
-            seq_blocks.append(sequence_base + np.arange(len(node), dtype=np.int64))
-            row_stride = len(node) * self.LANE_BYTES
-            swizzle_rows = base_address + self._swizzle_positions * row_stride
-            if self.store_full_matrix and len(node):
-                offsets = self.LANE_BYTES * np.arange(len(node), dtype=np.int64)
-                store_blocks.append(
-                    np.add.outer(offsets, swizzle_rows).ravel()
-                )
-            for offset, base in enumerate(node.sequence):
-                h_store, e = self._column_vec(
-                    h_store, e, self._profile.get(base, self._profile["A"]),
-                    open_cost, extend_cost,
-                    lazyf_branches=lazyf_branches,
-                    lazyf_alu=lazyf_alu,
-                )
-                cells += len(self.query)
-                columns += 1
-                column_best = int(h_store.max())
-                improved = column_best > best
-                improved_flags.append(improved)
-                if improved:
-                    best = column_best
-                    best_node = node_id
-                    best_offset = offset
-                    segment, lane = np.unravel_index(
-                        int(h_store.argmax()), h_store.shape
-                    )
-                    best_q = int(lane) * seg + int(segment) + 1
-            final_h[node_id] = h_store
-            final_e[node_id] = e
+            sequence_base = self._space.alloc(length)
+            seq_blocks.append(sequence_base + np.arange(length, dtype=np.int64))
+            if self.store_full_matrix:
+                # The packed columns scattered into the row-major node
+                # matrix: consecutive stores stride by the node length.
+                row_stride = length * self.LANE_BYTES
+                swizzle_rows = base_address + self._swizzle_positions * row_stride
+                offsets = self.LANE_BYTES * np.arange(length, dtype=np.int64)
+                store_blocks.append(np.add.outer(offsets, swizzle_rows).ravel())
+            columns += length
 
         if adj_addrs:
             probe.load_block(np.asarray(adj_addrs, dtype=np.int64), 16)
@@ -289,76 +244,32 @@ class GSSW:
             probe.load_block(np.concatenate(seq_blocks), 1)
         if columns:
             probe.load_block(np.tile(self._profile_row, columns), word_bytes)
-        if self.store_full_matrix and store_blocks:
+        if store_blocks:
             probe.store_block(np.concatenate(store_blocks), self.LANE_BYTES)
         probe.alu_bulk(
             OpClass.VECTOR_ALU,
-            merge_alu + (10 * seg + 1) * columns + lazyf_alu[0],
+            merge_alu + (10 * seg + 1) * columns
+            + lazy_f_alu(trace.stops, seg, self.lanes),
             dependent_count=10 * seg * columns,
         )
-        probe.branch_trace(11, lazyf_branches)
-        probe.branch_trace(10, improved_flags)
+        probe.branch_trace(11, lazy_f_branches(trace.stops, self.lanes * seg))
+        probe.branch_trace(10, trace.improved)
+
+    def _result(self, graph: SequenceGraph, order: list[int],
+                trace: ColumnTrace) -> GraphAlignmentResult:
+        end_node = end_offset = 0
+        if trace.column >= 0:
+            ends = np.cumsum([len(graph.node(node_id)) for node_id in order])
+            index = int(np.searchsorted(ends, trace.column, side="right"))
+            end_node = order[index]
+            end_offset = trace.column - (int(ends[index - 1]) if index else 0)
         return GraphAlignmentResult(
-            score=int(best),
-            end_node=best_node,
-            end_offset=best_offset,
-            query_end=best_q,
-            cells_computed=cells,
+            score=trace.score,
+            end_node=end_node,
+            end_offset=end_offset,
+            query_end=trace.query_end(self.segment_length, self.lanes),
+            cells_computed=len(self.query) * graph.total_sequence_length,
         )
-
-    def _column_vec(
-        self,
-        h_prev: np.ndarray,
-        e_prev: np.ndarray,
-        profile: np.ndarray,
-        open_cost: int,
-        extend_cost: int,
-        lazyf_branches: list[bool],
-        lazyf_alu: list[int],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Striped SW column as whole-matrix ops plus a max-plus F scan.
-
-        With ``open >= extend`` the in-column F recurrence
-        ``f[s+1] = max(h[s] - open, f[s] - extend)`` is equivalent to
-        ``f[s+1] = max(c[s] - open, f[s] - extend)`` where ``c`` is the
-        F-independent part of the cell, so substituting
-        ``g[s] = f[s] + s*extend`` turns it into a running maximum —
-        ``np.maximum.accumulate`` — over exact int64 arithmetic.  The
-        results are bit-identical to the scalar segment loop.
-        """
-        seg = self.segment_length
-        e = np.maximum(h_prev - open_cost, e_prev - extend_cost)
-        h_in = np.empty_like(h_prev)
-        h_in[0, 0] = 0
-        h_in[0, 1:] = h_prev[seg - 1, : self.lanes - 1]
-        if seg > 1:
-            h_in[1:] = h_prev[:-1]
-        c = np.maximum(np.maximum(h_in + profile, e), 0)
-        g = np.empty((seg + 1, self.lanes), dtype=np.int64)
-        g[0] = _NEG_INF
-        np.add(c, extend_cost * self._scan_steps[1:] - open_cost, out=g[1:])
-        np.maximum.accumulate(g, axis=0, out=g)
-        f_all = g - extend_cost * self._scan_steps
-        h_store = np.maximum(c, f_all[:seg])
-        f = f_all[seg]
-
-        done = False
-        for _ in range(self.lanes):
-            f = np.concatenate(([np.int64(_NEG_INF)], f[:-1]))
-            lazyf_alu[0] += 1
-            for segment in range(seg):
-                np.maximum(h_store[segment], f, out=h_store[segment])
-                threshold = h_store[segment] - open_cost
-                f = f - extend_cost
-                lazyf_alu[0] += 4
-                continuing = bool((f > threshold).any())
-                lazyf_branches.append(continuing)
-                if not continuing:
-                    done = True
-                    break
-            if done:
-                break
-        return h_store, e
 
     def _align_reference(self, graph: SequenceGraph) -> GraphAlignmentResult:
         """Scalar-loop reference with per-column probe emission.
@@ -379,8 +290,7 @@ class GSSW:
         best_node = best_offset = best_q = 0
         cells = 0
         improved_flags: list[bool] = []
-        lazyf_branches: list[bool] = []
-        lazyf_alu = [0]
+        stops: list[int] = []
 
         for node_id in order:
             node = graph.node(node_id)
@@ -400,7 +310,7 @@ class GSSW:
                 probe.alu(OpClass.VECTOR_ALU, 2 * len(parents) * seg)
             else:
                 h_prev = np.zeros((seg, self.lanes), dtype=np.int64)
-                e_prev = np.full((seg, self.lanes), _NEG_INF, dtype=np.int64)
+                e_prev = np.full((seg, self.lanes), NEG_INF, dtype=np.int64)
             base_address = self._space.alloc(len(node) * seg * self._word_bytes)
             matrix_base[node_id] = base_address
 
@@ -412,13 +322,10 @@ class GSSW:
             )
             row_stride = len(node) * self.LANE_BYTES
             swizzle_rows = base_address + self._swizzle_positions * row_stride
-            for offset, base in enumerate(node.sequence):
+            for offset, code in enumerate(base_codes(node.sequence)):
                 h_store, e = self._column(
-                    h_store, e, self._profile.get(base, self._profile["A"]),
-                    open_cost, extend_cost,
-                    first=(offset == 0 and not parents),
-                    lazyf_branches=lazyf_branches,
-                    lazyf_alu=lazyf_alu,
+                    h_store, e, self._profile[code], open_cost, extend_cost,
+                    stops,
                 )
                 cells += len(self.query)
                 if self.store_full_matrix:
@@ -442,8 +349,9 @@ class GSSW:
                     best_q = int(lane) * seg + int(segment) + 1
             final_h[node_id] = h_store
             final_e[node_id] = e
-        probe.branch_trace(11, lazyf_branches)
-        probe.alu_bulk(OpClass.VECTOR_ALU, lazyf_alu[0])
+        stops = np.asarray(stops, dtype=np.int64)
+        probe.branch_trace(11, lazy_f_branches(stops, self.lanes * seg))
+        probe.alu_bulk(OpClass.VECTOR_ALU, lazy_f_alu(stops, seg, self.lanes))
         probe.branch_trace(10, improved_flags)
         return GraphAlignmentResult(
             score=int(best),
@@ -460,15 +368,12 @@ class GSSW:
         profile: np.ndarray,
         open_cost: int,
         extend_cost: int,
-        first: bool,
-        lazyf_branches: list[bool],
-        lazyf_alu: list[int],
+        stops: list[int],
     ) -> tuple[np.ndarray, np.ndarray]:
         """One striped SW column given the previous column (striped layout).
 
-        Lazy-F's data-dependent exit branches and vector-op counts are
-        accumulated into the caller's lists and flushed as one block per
-        :meth:`align` call.
+        Lazy-F's exit step is appended to *stops*; its branches and
+        vector-op counts are flushed as one block per :meth:`align` call.
         """
         seg = self.segment_length
         probe = self.probe
@@ -478,7 +383,7 @@ class GSSW:
         h = np.empty(self.lanes, dtype=np.int64)
         h[0] = 0
         h[1:] = h_prev[seg - 1, : self.lanes - 1]
-        f = np.full(self.lanes, _NEG_INF, dtype=np.int64)
+        f = np.full(self.lanes, NEG_INF, dtype=np.int64)
 
         for segment in range(seg):
             h = h + profile[segment]
@@ -494,22 +399,7 @@ class GSSW:
         probe.alu(OpClass.VECTOR_ALU, 10 * seg, dependent=True)
         probe.alu(OpClass.VECTOR_ALU, 1)
 
-        done = False
-        for _ in range(self.lanes):
-            f = np.concatenate(([np.int64(_NEG_INF)], f[:-1]))
-            lazyf_alu[0] += 1
-            for segment in range(seg):
-                np.maximum(h_store[segment], f, out=h_store[segment])
-                threshold = h_store[segment] - open_cost
-                f = f - extend_cost
-                lazyf_alu[0] += 4
-                continuing = bool((f > threshold).any())
-                lazyf_branches.append(continuing)
-                if not continuing:
-                    done = True
-                    break
-            if done:
-                break
+        stops.append(lazy_f_scalar(h_store, f, open_cost, extend_cost))
         return h_store, e
 
 
@@ -522,6 +412,59 @@ def e_prev_col(
 ) -> np.ndarray:
     """Current-column E for *segment*: gap opened or extended from the left."""
     return np.maximum(h_prev[segment] - open_cost, e_prev[segment] - extend_cost)
+
+
+def _align_group(aligners: Sequence[GSSW],
+                 graphs: Sequence[SequenceGraph]) -> list[GraphAlignmentResult]:
+    """Align ``graphs[i]`` with ``aligners[i]`` (one scoring, lanes and
+    segment length) lock-step, then emit each alignment's events in
+    order."""
+    orders = [topological_sort(graph) for graph in graphs]
+    layouts = []
+    codes = []
+    for graph, order in zip(graphs, orders):
+        index = {node_id: i for i, node_id in enumerate(order)}
+        layouts.append([
+            (len(graph.node(node_id)),
+             tuple(index[parent] for parent in graph.predecessors(node_id)))
+            for node_id in order
+        ])
+        codes.append(base_codes(
+            "".join(graph.node(node_id).sequence for node_id in order)))
+    traces = lockstep([aligner._profile for aligner in aligners], codes,
+                      layouts, aligners[0].scoring, e_from_previous=True)
+    results = []
+    for aligner, graph, order, trace in zip(aligners, graphs, orders, traces):
+        aligner._emit(graph, order, trace)
+        results.append(aligner._result(graph, order, trace))
+    return results
+
+
+def gssw_align_many(
+    items: Iterable[tuple[str, SequenceGraph]],
+    scoring: AffineScoring = VG_DEFAULT,
+    lanes: int = 8,
+    probe: MachineProbe = NULL_PROBE,
+    store_full_matrix: bool = True,
+    backend: str = VECTORIZED,
+) -> Iterator[GraphAlignmentResult]:
+    """GSSW over ``(query, graph)`` items, lock-step in groups.
+
+    Yields one result per item, in order, and emits the probe stream of
+    building a :class:`GSSW` per item on *probe* and aligning its graph.
+    *items* is consumed lazily, a group at a time.
+    """
+    aligned = ((GSSW(query, scoring, lanes=lanes, probe=probe,
+                     store_full_matrix=store_full_matrix, backend=backend),
+                graph)
+               for query, graph in items)
+    for group in lockstep_groups(aligned, lambda item: item[0].segment_length):
+        aligners, graphs = zip(*group)
+        if aligners[0].vectorize:
+            yield from _align_group(aligners, graphs)
+        else:
+            for aligner, graph in group:
+                yield aligner._align_reference(graph)
 
 
 def gssw_align(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import weakref
 
-from repro.align.gssw import GSSW, graph_smith_waterman_scalar
+from repro.align.gssw import graph_smith_waterman_scalar, gssw_align_many
 from repro.align.scoring import VG_DEFAULT
 from repro.data import derivation
 from repro.data.streaming import ChunkedSeries, streaming_config
@@ -121,13 +121,17 @@ class GSSWKernel(Kernel):
         cells = 0
         score_total = 0
         subgraph_bases = 0
-        for query, subgraph in self.items:
-            aligner = GSSW(query, VG_DEFAULT, probe=probe,
-                           backend=self.backend)
-            result = aligner.align(subgraph)
+
+        def inputs():
+            nonlocal subgraph_bases
+            for query, subgraph in self.items:
+                subgraph_bases += subgraph.total_sequence_length
+                yield query, subgraph
+
+        for result in gssw_align_many(inputs(), VG_DEFAULT, probe=probe,
+                                      backend=self.backend):
             cells += result.cells_computed
             score_total += result.score
-            subgraph_bases += subgraph.total_sequence_length
         return KernelResult(
             kernel=self.name,
             wall_seconds=0.0,
@@ -140,12 +144,14 @@ class GSSWKernel(Kernel):
         )
 
     def validate(self) -> None:
-        """Striped scores must equal the scalar graph-SW oracle."""
+        """Scores from the path :meth:`_execute` runs (this backend, one
+        engine call) must equal the scalar graph-SW oracle."""
         self.ensure_prepared()
         rng = random.Random(self.seed)
         sample = rng.sample(self.items, min(3, len(self.items)))
-        for query, subgraph in sample:
-            fast = GSSW(query, VG_DEFAULT).align(subgraph).score
+        results = gssw_align_many(sample, VG_DEFAULT, backend=self.backend)
+        for (query, subgraph), result in zip(sample, results):
+            fast = result.score
             slow = graph_smith_waterman_scalar(query, subgraph, VG_DEFAULT).score
             if fast != slow:
                 raise KernelError(f"GSSW mismatch: {fast} != {slow}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.align.scoring import VG_DEFAULT
-from repro.align.smith_waterman import StripedSmithWaterman, smith_waterman
+from repro.align.smith_waterman import smith_waterman, ssw_align_many
 from repro.data import derivation
 from repro.errors import KernelError
 from repro.index.minimizer import SequenceMinimizerIndex
@@ -82,10 +82,8 @@ class SSWKernel(Kernel):
     def _execute(self, probe) -> KernelResult:
         cells = 0
         score_total = 0
-        for query, window in self.items:
-            aligner = StripedSmithWaterman(query, VG_DEFAULT, probe=probe,
-                                           backend=self.backend)
-            result = aligner.align(window)
+        for result in ssw_align_many(self.items, VG_DEFAULT, probe=probe,
+                                     backend=self.backend):
             cells += result.cells_computed
             score_total += result.score
         return KernelResult(
@@ -96,11 +94,14 @@ class SSWKernel(Kernel):
         )
 
     def validate(self) -> None:
-        """Striped scores must equal the scalar Gotoh oracle."""
+        """Scores from the path :meth:`_execute` runs (this backend, one
+        engine call) must equal the scalar Gotoh oracle."""
         self.ensure_prepared()
         rng = random.Random(self.seed)
-        for query, window in rng.sample(self.items, min(3, len(self.items))):
-            fast = StripedSmithWaterman(query, VG_DEFAULT).align(window).score
+        sample = rng.sample(self.items, min(3, len(self.items)))
+        results = ssw_align_many(sample, VG_DEFAULT, backend=self.backend)
+        for (query, window), result in zip(sample, results):
+            fast = result.score
             slow = smith_waterman(query, window, VG_DEFAULT).score
             if fast != slow:
                 raise KernelError(f"SSW mismatch: {fast} != {slow}")

@@ -1,5 +1,7 @@
 """The benchmark suite: registry, execution, validation, determinism."""
 
+import importlib
+
 import pytest
 
 from repro.errors import KernelError
@@ -69,6 +71,32 @@ class TestExecution:
     def test_rate(self, results):
         _, result = results["gbwt"]
         assert result.rate() > 0
+
+
+class TestValidateRunsTheExecutedPath:
+    """``validate()`` checks the engine call ``_execute`` makes, on the
+    kernel's own backend, not a default-backend one-off aligner."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("name,module,engine", [
+        ("ssw", "repro.kernels.ssw_kernel", "ssw_align_many"),
+        ("gssw", "repro.kernels.gssw_kernel", "gssw_align_many"),
+    ])
+    def test_validate_uses_the_kernel_backend(self, name, module, engine,
+                                              backend, monkeypatch):
+        kernel_module = importlib.import_module(module)
+        real = getattr(kernel_module, engine)
+        calls = []
+
+        def spy(items, *args, **kwargs):
+            items = list(items)
+            calls.append((len(items), kwargs.get("backend")))
+            return real(items, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, engine, spy)
+        kernel = create_kernel(name, scale=SCALE, seed=0, backend=backend)
+        kernel.validate()
+        assert calls == [(3, backend)]
 
 
 class TestDatasets:
