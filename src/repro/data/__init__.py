@@ -59,13 +59,7 @@ from repro.data.scenarios import (
     scenario_spec,
 )
 from repro.data.spec import GENERATOR_VERSION, DatasetSpec
-from repro.data.streaming import (
-    ChunkedSeries,
-    StreamingConfig,
-    streaming,
-    streaming_config,
-    streaming_mode,
-)
+from repro.data.streaming import ChunkedSeries, active_chunk_items, streaming
 from repro.data.store import (
     ArtifactStore,
     default_data_dir,
@@ -94,8 +88,7 @@ __all__ = [
     "corpus_fingerprint", "gbwt_queries", "gbwt_queries_range",
     "mutate_sequence", "tsu_pairs", "tsu_pairs_range",
     "DERIVATIONS", "Derivation", "derivation", "get_derivation",
-    "ChunkedSeries", "StreamingConfig", "streaming", "streaming_config",
-    "streaming_mode",
+    "ChunkedSeries", "active_chunk_items", "streaming",
     "ArtifactStore", "default_data_dir", "default_store", "ensure_corpus",
     "set_default_store", "use_store",
 ]

@@ -29,8 +29,8 @@ from repro.sequence.simulate import ILLUMINA, ReadProfile, ReadSimulator
 
 __all__ = [
     "SUITE_RATES", "SuiteData", "build_corpus", "corpus_fingerprint",
-    "gbwt_queries", "gbwt_queries_range", "mutate_sequence", "tsu_pairs",
-    "tsu_pairs_range",
+    "gbwt_queries", "gbwt_queries_range", "mutate_sequence",
+    "short_read_count", "tsu_pairs", "tsu_pairs_range",
 ]
 
 
@@ -70,6 +70,11 @@ def _long_profile(spec: DatasetSpec) -> ReadProfile:
     )
 
 
+def short_read_count(spec: DatasetSpec) -> int:
+    """How many short reads the corpus for *spec* holds."""
+    return max(20, int(spec.short_reads * spec.scale))
+
+
 def build_corpus(spec: DatasetSpec) -> SuiteData:
     """Build the shared corpus *spec* describes (pure: no caching here —
     memoization and cross-process sharing live in the artifact store)."""
@@ -84,7 +89,7 @@ def build_corpus(spec: DatasetSpec) -> SuiteData:
     donor_short = gp.haplotypes[rng.randrange(len(gp.haplotypes))]
     donor_long = gp.haplotypes[rng.randrange(len(gp.haplotypes))]
     short_reads = ReadSimulator(ILLUMINA, seed=spec.seed + 1).simulate(
-        donor_short, n_reads=max(20, int(spec.short_reads * spec.scale))
+        donor_short, n_reads=short_read_count(spec)
     )
     long_reads = ReadSimulator(_long_profile(spec), seed=spec.seed + 2).simulate(
         donor_long, n_reads=max(4, int(spec.long_reads * spec.scale))

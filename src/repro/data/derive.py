@@ -13,8 +13,13 @@ not just the corpus.
 Kernel modules register their extractor at import time::
 
     @derivation("gssw_inputs")
-    def _gssw_inputs(data, spec):
-        return extract_gssw_inputs(data.graph, list(data.short_reads))
+    def _gssw_inputs(data, spec, start=0, stop=None):
+        reads = list(data.short_reads)[start:stop]
+        return extract_gssw_inputs(data.graph, reads)
+
+Inputs a kernel reads through a
+:class:`~repro.data.streaming.ChunkedSeries` take ``start``/``stop``
+item indices and default to the whole set.
 
 Bump ``version=`` when a derivation's output for unchanged inputs
 changes; stale artifacts then miss (and ``repro data gc`` removes them).

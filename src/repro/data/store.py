@@ -14,7 +14,8 @@ with ``$REPRO_DATA_DIR`` or the ``root`` argument), keyed by
                 <name>-<digest>.json  # derivation meta sidecar
         <spec-digest>.lock        # flock target for build-once
 
-Three-level resolution, cheapest first:
+Corpora and derived inputs resolve through one routine, three levels,
+cheapest first:
 
 1. **memory** — a :class:`weakref.WeakValueDictionary` of holder objects
    plus a small strong ring of the most recent entries.  Unlike the old
@@ -25,8 +26,9 @@ Three-level resolution, cheapest first:
    readers never observe partial artifacts and a warm ``prepare``
    collapses to deserialization time.
 3. **build** — under an exclusive ``flock`` with a double-check after
-   acquisition, so N concurrent executor workers build a missing corpus
-   exactly once and share the result through the filesystem.
+   acquisition, so N concurrent executor workers build a missing
+   artifact exactly once and share the result through the filesystem.
+   A derivation resolves its corpus before taking the lock.
 
 Every resolution is observable: ``data.store.hits{level=,kind=}`` /
 ``data.store.builds{kind=,scenario=}`` counters, a
@@ -45,7 +47,7 @@ import weakref
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 try:  # pragma: no cover - platform guard
     import fcntl
@@ -184,50 +186,17 @@ class ArtifactStore:
     def fetch(self, spec: DatasetSpec) -> tuple[SuiteData, str]:
         """Like :meth:`corpus` but also reports where the data came from
         (``"memory"`` / ``"disk"`` / ``"built"``)."""
-        key = f"corpus/{spec.digest()}"
-        cached = self._recall(key)
-        if cached is not None:
-            self._count_hit(MEMORY, "corpus", spec)
-            return cached, MEMORY
-
-        with trace.timed_span(f"data/load/corpus/{spec.scenario}"):
-            loaded = self._load_pickle(self.corpus_path(spec))
-        if loaded is not None:
-            self._remember(key, loaded)
-            self._count_hit(DISK, "corpus", spec)
-            return loaded, DISK
-
-        with exclusive_lock(self._lock_path(spec)):
-            # Double-check: another process may have built while we
-            # waited on the lock.
-            loaded = self._load_pickle(self.corpus_path(spec))
-            if loaded is not None:
-                self._remember(key, loaded)
-                self._count_hit(DISK, "corpus", spec)
-                return loaded, DISK
-            with trace.timed_span(f"data/build/corpus/{spec.scenario}") as span:
-                data = build_corpus(spec)
-                self._write_corpus(spec, data)
-            metrics.counter("data.store.builds", kind="corpus",
-                            scenario=spec.scenario).inc()
-            metrics.gauge("data.build_seconds",
-                          scenario=spec.scenario).set(span.duration)
-        self._remember(key, data)
-        return data, BUILT
-
-    def _write_corpus(self, spec: DatasetSpec, data: SuiteData) -> None:
-        payload = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write_bytes(self.corpus_path(spec), payload)
-        meta = {
-            "spec": spec.key(),
-            "digest": spec.digest(),
-            "fingerprint": corpus_fingerprint(data),
-            "generator_version": GENERATOR_VERSION,
-            "created": time.time(),
-            "corpus_bytes": len(payload),
-        }
-        atomic_write_bytes(self.corpus_dir(spec) / "meta.json",
-                            json.dumps(meta, indent=2, sort_keys=True).encode())
+        return self._resolve(
+            spec, "corpus", spec.scenario, spec.digest(),
+            self.corpus_path(spec), self.corpus_dir(spec) / "meta.json",
+            inputs=lambda: spec, build=build_corpus,
+            meta=lambda data, size: {
+                "spec": spec.key(), "digest": spec.digest(),
+                "fingerprint": corpus_fingerprint(data),
+                "generator_version": GENERATOR_VERSION,
+                "created": time.time(), "corpus_bytes": size,
+            },
+        )
 
     # -- derived inputs ------------------------------------------------
 
@@ -243,52 +212,71 @@ class ArtifactStore:
 
     def fetch_derived(self, spec: DatasetSpec, name: str,
                       **params: object) -> tuple[object, str]:
+        """Like :meth:`derived` but also reports the origin."""
         step = get_derivation(name)
         digest = _derived_digest(spec, name, step.version, params)
-        key = f"derived/{digest}"
-        cached = self._recall(key)
-        if cached is not None:
-            self._count_hit(MEMORY, "derived", spec)
-            return cached, MEMORY
-
         path = self.corpus_dir(spec) / "derived" / f"{name}-{digest}.pkl"
-        with trace.timed_span(f"data/load/derived/{name}"):
-            loaded = self._load_pickle(path)
-        if loaded is not None:
-            self._remember(key, loaded)
-            self._count_hit(DISK, "derived", spec)
-            return loaded, DISK
-
-        # Resolve the corpus *before* taking the spec lock: corpus
-        # resolution locks the same file, and a second flock on a fresh
-        # descriptor would deadlock against our own held lock.
-        data = self.corpus(spec) if step.needs_corpus else None
-        with exclusive_lock(self._lock_path(spec)):
-            loaded = self._load_pickle(path)
-            if loaded is not None:
-                self._remember(key, loaded)
-                self._count_hit(DISK, "derived", spec)
-                return loaded, DISK
-            with trace.timed_span(f"data/build/derived/{name}"):
-                value = step.build(data, spec, **params)
-                atomic_write_bytes(
-                    path, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                atomic_write_bytes(
-                    path.with_suffix(".json"),
-                    json.dumps(
-                        {"derivation": name, "version": step.version,
-                         "params": {k: repr(v) for k, v in params.items()},
-                         "created": time.time()},
-                        indent=2, sort_keys=True,
-                    ).encode(),
-                )
-            metrics.counter("data.store.builds", kind="derived",
-                            scenario=spec.scenario).inc()
-        self._remember(key, value)
-        return value, BUILT
+        return self._resolve(
+            spec, "derived", name, digest, path, path.with_suffix(".json"),
+            inputs=lambda: self.corpus(spec) if step.needs_corpus else None,
+            build=lambda data: step.build(data, spec, **params),
+            meta=lambda _value, _size: {
+                "derivation": name, "version": step.version,
+                "params": {k: repr(v) for k, v in params.items()},
+                "created": time.time(),
+            },
+        )
 
     # -- shared plumbing -----------------------------------------------
+
+    def _resolve(self, spec: DatasetSpec, kind: str, label: str, digest: str,
+                 path: Path, meta_path: Path, inputs: Callable[[], object],
+                 build: Callable[[object], object],
+                 meta: Callable[[object, int], dict]) -> tuple[object, str]:
+        """Resolve one artifact: the memory ring, then its disk pickle,
+        then ``build(inputs())`` under the spec's flock with a re-check;
+        a build writes the pickle and its ``meta(value, size)`` sidecar
+        atomically.
+
+        ``inputs`` runs *before* the lock is taken: a derivation's
+        corpus resolution locks the same file, and a second flock on a
+        fresh descriptor would deadlock against our own held lock.
+        """
+        key = f"{kind}/{digest}"
+        cached = self._recall(key)
+        if cached is not None:
+            self._count_hit(MEMORY, kind, spec)
+            return cached, MEMORY
+
+        with trace.timed_span(f"data/load/{kind}/{label}"):
+            value = self._load_pickle(path)
+        origin = DISK
+        if value is None:
+            data = inputs()
+            with exclusive_lock(self._lock_path(spec)):
+                # Double-check: another process may have built while we
+                # waited on the lock.
+                value = self._load_pickle(path)
+                if value is None:
+                    origin = BUILT
+                    with trace.timed_span(f"data/build/{kind}/{label}") as span:
+                        value = build(data)
+                        payload = pickle.dumps(
+                            value, protocol=pickle.HIGHEST_PROTOCOL)
+                        atomic_write_bytes(path, payload)
+                        atomic_write_bytes(meta_path, json.dumps(
+                            meta(value, len(payload)), indent=2,
+                            sort_keys=True,
+                        ).encode())
+                    metrics.counter("data.store.builds", kind=kind,
+                                    scenario=spec.scenario).inc()
+                    if kind == "corpus":
+                        metrics.gauge("data.build_seconds",
+                                      scenario=spec.scenario).set(span.duration)
+        self._remember(key, value)
+        if origin == DISK:
+            self._count_hit(DISK, kind, spec)
+        return value, origin
 
     @staticmethod
     def _count_hit(level: str, kind: str, spec: DatasetSpec) -> None:
@@ -369,8 +357,9 @@ class ArtifactStore:
         return removed, freed
 
 
-#: The process-wide store the kernels and the compat shim resolve
-#: against; swap with :func:`use_store` (tests) or :func:`set_default_store`.
+#: The process-wide store the kernels and :func:`repro.data.corpus`
+#: resolve against; swap with :func:`use_store` (tests) or
+#: :func:`set_default_store`.
 _DEFAULT_STORE: ArtifactStore | None = None
 
 

@@ -37,11 +37,12 @@ import os
 import tempfile
 import time
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.data import ensure_corpus, scenario_spec
-from repro.data.streaming import streaming_mode
+from repro.data.streaming import streaming
 from repro.errors import KernelError
 from repro.harness.runner import KernelReport, run_kernel_studies
 from repro.harness.studies import create_study
@@ -160,7 +161,7 @@ def _execute_job(job: Job) -> KernelReport:
     still carries the elapsed wall time up to the failure)."""
     started = time.monotonic()
     try:
-        with streaming_mode(job.stream):
+        with streaming() if job.stream else nullcontext():
             report = run_kernel_studies(
                 job.kernel,
                 studies=job.studies,

@@ -213,9 +213,10 @@ def run_suite(
       or ``benchmarks/results/cache/``).
     * ``scenario`` — named dataset scenario from
       :data:`repro.data.SCENARIO_REGISTRY` every kernel prepares on.
-    * ``stream`` — bounded-memory mode: derived kernel inputs arrive as
-      chunked :class:`~repro.data.streaming.ChunkedSeries` views instead
-      of monolithic lists; reports are bit-identical either way.
+    * ``stream`` — bounded-memory mode: the
+      :class:`~repro.data.streaming.ChunkedSeries` kernel inputs hold
+      one small chunk at a time instead of the whole set; reports are
+      bit-identical either way.
     * ``backend`` — execution backend for every kernel (``None``: each
       kernel's default); must be supported by all requested kernels.
     """

@@ -12,8 +12,8 @@ import random
 
 import numpy as np
 
-from repro.data import derivation, gbwt_queries, gbwt_queries_range
-from repro.data.streaming import ChunkedSeries, streaming_config
+from repro.data import derivation, gbwt_queries_range
+from repro.data.streaming import ChunkedSeries
 from repro.errors import KernelError
 from repro.index.gbwt import ENDMARKER, GBWT
 from repro.kernels.base import (
@@ -39,22 +39,18 @@ def _chunks(items, size):
 
 
 def _gbwt_query_count(spec) -> int:
-    """Dataset size shared by the monolithic and chunked derivations."""
     return max(200, int(2000 * spec.scale))
 
 
 @derivation("gbwt_queries")
-def _derive_gbwt_queries(data, spec):
+def _derive_gbwt_queries(data, spec, start=0, stop=None):
     """The paper's query generator: random haplotype subpaths of length
-    1-100.  The GBWT index itself stays in ``prepare`` — it builds in
-    linear time from the shared graph, so caching buys nothing."""
-    return gbwt_queries(data.graph, _gbwt_query_count(spec), seed=spec.seed)
-
-
-@derivation("gbwt_queries_chunk")
-def _derive_gbwt_queries_chunk(data, spec, start=0, stop=0):
-    """Queries ``start..stop`` of the ``gbwt_queries`` dataset —
-    identical to a slice of it (per-index RNG substreams)."""
+    1-100, queries ``start..stop`` (default all).  Each query has its own
+    RNG substream, so any range is a slice of the whole set.  The GBWT
+    index itself stays in ``prepare`` — it builds in linear time from
+    the shared graph, so caching buys nothing."""
+    if stop is None:
+        stop = _gbwt_query_count(spec)
     return gbwt_queries_range(data.graph, start, stop, seed=spec.seed)
 
 
@@ -74,21 +70,16 @@ class GBWTKernel(Kernel):
     #: (the differential oracle) is selectable as a backend.
     SUPPORTED_BACKENDS = (SCALAR, VECTORIZED)
 
-    #: Queries per lockstep wavefront; also the streaming chunk size.
+    #: Queries per lockstep wavefront in the vectorized backend (a
+    #: throughput knob, independent of the streaming chunk size).
     CHUNK = 256
 
     def prepare(self) -> None:
         data = self.dataset()
         self.graph = data.graph
         self.gbwt = GBWT.from_graph(data.graph)
-        config = streaming_config()
-        if config is not None:
-            self.queries = ChunkedSeries(
-                self.spec, "gbwt_queries_chunk",
-                _gbwt_query_count(self.spec), config.chunk_items,
-            )
-        else:
-            self.queries = self.derived("gbwt_queries")
+        self.queries = ChunkedSeries(self.spec, "gbwt_queries",
+                                     _gbwt_query_count(self.spec))
         if not self.queries:
             raise KernelError("no GBWT queries generated")
         # Record layout in haplotype-path order: consecutive nodes of a
@@ -117,7 +108,6 @@ class GBWTKernel(Kernel):
         dense = {int(v): d for d, v in enumerate(self._nodes_sorted)}
         # ENDMARKER successors map to dense id n.
         self._rec_len = np.empty(n, dtype=np.int64)
-        self._slot_of = np.empty(n, dtype=np.int64)
         max_len = 1
         visit_v: list[np.ndarray] = []
         visit_w: list[np.ndarray] = []
@@ -128,7 +118,6 @@ class GBWTKernel(Kernel):
             record = records[int(real)]
             length = len(record.successors)
             self._rec_len[d] = length
-            self._slot_of[d] = self.record_offset.get(int(real), 0)
             max_len = max(max_len, length)
             succ = np.asarray(
                 [n if s == ENDMARKER else dense[s] for s in record.successors],
@@ -202,6 +191,12 @@ class GBWTKernel(Kernel):
         emptied_blocks: list[np.ndarray] = []
         fanout: list[bool] = []
         n = self._n_dense
+        # Record slots by dense id, read from ``record_offset`` on every
+        # run: the one layout table both backends share.
+        slot_of = np.asarray(
+            [self.record_offset.get(int(v), 0) for v in self._nodes_sorted],
+            dtype=np.int64,
+        )
         for chunk in _chunks(self.queries, self.CHUNK):
             size = len(chunk)
             n_queries += size
@@ -226,7 +221,7 @@ class GBWTKernel(Kernel):
             ev_multi = np.zeros((size, max_q), dtype=bool)
             ev_emptied = np.zeros((size, max_q), dtype=bool)
             steps_taken = np.zeros(size, dtype=np.int64)
-            ev_record[:, 0] = record_base + self._slot_of[np.maximum(cur, 0)] * record_bytes
+            ev_record[:, 0] = record_base + slot_of[np.maximum(cur, 0)] * record_bytes
             active = (lengths > 1) & (end > start)
             for k in range(1, max_q):
                 idx = np.flatnonzero(active)
@@ -234,7 +229,7 @@ class GBWTKernel(Kernel):
                     break
                 v = cur[idx]
                 w = dense[idx, k]
-                slot = self._slot_of[w]
+                slot = slot_of[w]
                 rec_addr = record_base + slot * record_bytes
                 ev_record[idx, k] = rec_addr
                 ev_rank[idx, k] = rec_addr + (start[idx] % 4) * 8

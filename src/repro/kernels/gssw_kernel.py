@@ -14,7 +14,8 @@ import weakref
 from repro.align.gssw import graph_smith_waterman_scalar, gssw_align_many
 from repro.align.scoring import VG_DEFAULT
 from repro.data import derivation
-from repro.data.streaming import ChunkedSeries, streaming_config
+from repro.data.corpus import short_read_count
+from repro.data.streaming import ChunkedSeries
 from repro.errors import KernelError
 from repro.graph.model import SequenceGraph
 from repro.graph.ops import local_subgraph
@@ -43,7 +44,7 @@ def extract_gssw_inputs(
     inputs — shared by the kernel and the Figure 10/11 case studies.
 
     Pass a prebuilt *index* to amortize the minimizer-index build over
-    many calls (the streaming chunks do; it is a pure function of the
+    many calls (the derivation's chunks do; it is a pure function of the
     graph, so extraction output is unchanged)."""
     if index is None:
         index = GraphMinimizerIndex(graph, k=k, w=w)
@@ -61,17 +62,13 @@ def extract_gssw_inputs(
     return items
 
 
-@derivation("gssw_inputs")
-def _derive_gssw_inputs(data, spec):
-    """vg map's pre-alignment stages, dumped at the GSSW boundary."""
-    return extract_gssw_inputs(data.graph, list(data.short_reads))
-
-
-#: Process-local minimizer indexes keyed by graph identity, so streaming
-#: chunk builds share one index instead of rebuilding the dominant
-#: pre-alignment stage per chunk.  (A weak key: the cache cannot pin a
-#: corpus the store has evicted.  Not a store derivation — a derivation
-#: build holds the spec's flock, so it must not re-enter ``derived()``.)
+#: Process-local minimizer indexes keyed by graph identity, so chunk
+#: builds share one index instead of rebuilding the dominant
+#: pre-alignment stage per chunk.  The build of the last range drops
+#: its graph's entry, so a finished input keeps no index resident.  (A
+#: weak key: the cache cannot pin a corpus the store has evicted.  Not a
+#: store derivation — a derivation build holds the spec's flock, so it
+#: must not re-enter ``derived()``.)
 _INDEX_CACHE: "weakref.WeakKeyDictionary[SequenceGraph, GraphMinimizerIndex]" \
     = weakref.WeakKeyDictionary()
 
@@ -84,14 +81,19 @@ def _shared_minimizer_index(graph: SequenceGraph) -> GraphMinimizerIndex:
     return index
 
 
-@derivation("gssw_inputs_chunk")
-def _derive_gssw_inputs_chunk(data, spec, start=0, stop=0):
-    """The ``gssw_inputs`` extraction restricted to reads
-    ``start..stop``.  Extraction is per-read (the minimizer index is a
-    pure function of the graph), so concatenating chunks reproduces the
-    monolithic list exactly — seed-filtered reads and all."""
-    return extract_gssw_inputs(data.graph, list(data.short_reads)[start:stop],
-                               index=_shared_minimizer_index(data.graph))
+@derivation("gssw_inputs")
+def _derive_gssw_inputs(data, spec, start=0, stop=None):
+    """vg map's pre-alignment stages, dumped at the GSSW boundary, for
+    reads ``start..stop`` (default all).  Extraction is per-read (the
+    minimizer index is a pure function of the graph), so concatenating
+    ranges reproduces the whole list exactly — seed-filtered reads and
+    all."""
+    reads = list(data.short_reads)
+    items = extract_gssw_inputs(data.graph, reads[start:stop],
+                                index=_shared_minimizer_index(data.graph))
+    if stop is None or stop >= len(reads):
+        _INDEX_CACHE.pop(data.graph, None)
+    return items
 
 
 @register
@@ -106,14 +108,8 @@ class GSSWKernel(Kernel):
     SUPPORTED_BACKENDS = (SCALAR, VECTORIZED)
 
     def prepare(self) -> None:
-        config = streaming_config()
-        if config is not None:
-            self.items = ChunkedSeries(
-                self.spec, "gssw_inputs_chunk",
-                len(self.dataset().short_reads), config.chunk_items,
-            )
-        else:
-            self.items = self.derived("gssw_inputs")
+        self.items = ChunkedSeries(self.spec, "gssw_inputs",
+                                   short_read_count(self.spec))
         if not self.items:
             raise KernelError("no GSSW inputs extracted")
 

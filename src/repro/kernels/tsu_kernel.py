@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.align.myers import edit_distance
 from repro.data import derivation, tsu_pairs, tsu_pairs_range
-from repro.data.streaming import ChunkedSeries, streaming_config
+from repro.data.streaming import ChunkedSeries
 from repro.errors import KernelError
 from repro.gpu.tsu import tsu_align_batch
 from repro.kernels.base import GPU, Kernel, KernelResult, register
@@ -17,22 +17,17 @@ from repro.uarch.events import MachineProbe
 
 
 def _tsu_pair_count(spec) -> int:
-    """Dataset size shared by the monolithic and chunked derivations."""
     return max(4, int(12 * spec.scale))
 
 
 @derivation("tsu_pairs", needs_corpus=False)
-def _derive_tsu_pairs(data, spec, pair_length=2000):
-    """The paper's TSU generator: synthetic pairs at the scenario's
-    error rate, independent of the shared corpus."""
-    return tsu_pairs(_tsu_pair_count(spec), pair_length,
-                     error_rate=spec.tsu_error_rate, seed=spec.seed)
-
-
-@derivation("tsu_pairs_chunk", needs_corpus=False)
-def _derive_tsu_pairs_chunk(data, spec, pair_length=2000, start=0, stop=0):
-    """Pairs ``start..stop`` of the ``tsu_pairs`` dataset — identical to
-    a slice of it (per-index RNG substreams), built without the rest."""
+def _derive_tsu_pairs(data, spec, pair_length=2000, start=0, stop=None):
+    """The paper's TSU generator: synthetic pairs ``start..stop`` (default
+    all) at the scenario's error rate, independent of the shared corpus.
+    Each pair has its own RNG substream, so any range is a slice of the
+    whole set built without the rest."""
+    if stop is None:
+        stop = _tsu_pair_count(spec)
     return tsu_pairs_range(start, stop, pair_length,
                            error_rate=spec.tsu_error_rate, seed=spec.seed)
 
@@ -58,15 +53,12 @@ class TSUKernel(Kernel):
     replicate = 500
 
     def prepare(self) -> None:
-        config = streaming_config()
-        if config is not None:
-            self.pairs = ChunkedSeries(
-                self.spec, "tsu_pairs_chunk", _tsu_pair_count(self.spec),
-                config.chunk_items, params={"pair_length": self.pair_length},
-            )
-        else:
-            self.pairs = self.derived("tsu_pairs",
-                                      pair_length=self.pair_length)
+        self.pairs = ChunkedSeries(
+            self.spec, "tsu_pairs", _tsu_pair_count(self.spec),
+            params={"pair_length": self.pair_length},
+        )
+        if not self.pairs:
+            raise KernelError("no TSU pairs generated")
 
     def _execute(self, probe: MachineProbe) -> KernelResult:
         result = tsu_align_batch(self.pairs, replicate=self.replicate)

@@ -81,6 +81,40 @@ class TestResolution:
         ] == 1
 
 
+    @pytest.mark.parametrize("kind", ["corpus", "derived"])
+    def test_corpus_and_derived_resolve_alike(self, store, kind):
+        """One routine: the same levels, origins and counters for both."""
+        def fetch():
+            if kind == "corpus":
+                return store.fetch(SMALL)
+            return store.fetch_derived(SMALL, "tsu_pairs", pair_length=50)
+
+        registry = metrics.MetricsRegistry()
+        with metrics.use(registry):
+            value, origin = fetch()
+            assert origin == BUILT
+            again, origin = fetch()
+            assert origin == MEMORY and again is value
+            store.evict_memory()
+            loaded, origin = fetch()
+            assert origin == DISK and loaded is not value
+        counters = registry.as_dict()["counters"]
+        assert counters == {
+            f"data.store.builds{{kind={kind},scenario=default}}": 1,
+            f"data.store.hits{{kind={kind},level=disk,scenario=default}}": 1,
+            f"data.store.hits{{kind={kind},level=memory,scenario=default}}": 1,
+        }
+
+    def test_derived_meta_sidecar_written(self, store):
+        import json
+
+        store.fetch_derived(SMALL, "tsu_pairs", pair_length=50)
+        (sidecar,) = (store.corpus_dir(SMALL) / "derived").glob("*.json")
+        meta = json.loads(sidecar.read_text())
+        assert meta["derivation"] == "tsu_pairs"
+        assert meta["params"] == {"pair_length": "50"}
+
+
 class TestMemoryLayer:
     def test_ring_keeps_identity_for_recent_entries(self, store):
         assert store.corpus(SMALL) is store.corpus(SMALL)

@@ -13,11 +13,16 @@ from repro.kernels.base import KERNEL_REGISTRY
 from repro.uarch.machine import TraceMachine
 
 
-def _execute(kernel_cls, backend, chunk=None):
+def _execute(kernel_cls, backend, chunk=None, scattered=False):
     kernel = kernel_cls(scale=0.25, seed=0, backend=backend)
     if chunk is not None:
         kernel.CHUNK = chunk
     kernel.ensure_prepared()
+    if scattered:
+        # The layout ablation's node-id order, set after prepare.
+        kernel.record_offset = {
+            node_id: node_id * 347 for node_id in kernel.record_offset
+        }
     machine = TraceMachine()
     result = kernel._execute(machine)
     return result, machine.summary()
@@ -43,3 +48,15 @@ class TestGbwtDifferential:
         cut, cut_summary = _execute(gbwt_cls, backend="vectorized", chunk=chunk)
         assert cut.work == reference.work
         assert cut_summary == reference_summary
+
+    def test_backends_agree_under_scattered_layout(self, gbwt_cls):
+        """``record_offset`` is the one layout table both backends read,
+        so a layout set after prepare reaches the batched path too."""
+        fast, fast_summary = _execute(gbwt_cls, backend="vectorized",
+                                      scattered=True)
+        slow, slow_summary = _execute(gbwt_cls, backend="scalar",
+                                      scattered=True)
+        assert fast.work == slow.work
+        assert fast_summary == slow_summary
+        _default, default_summary = _execute(gbwt_cls, backend="vectorized")
+        assert fast_summary != default_summary
