@@ -50,33 +50,19 @@ class GBVResult:
     queue_pushes: int
 
 
-class _EventAccumulator:
-    """Per-align buffers of probe events, flushed as blocks.
-
-    GBV's probe traffic never steers its control flow, so deferring the
-    per-word branches, per-parent loads and ALU credits to one block
-    flush per :meth:`GBV.align` call is observationally equivalent for
-    any probe while removing the per-event call overhead.
-    """
-
-    __slots__ = (
-        "parent_loads", "row_stores", "merge_branches", "changed_branches",
-        "queue_branches", "threshold_branches", "alu_total", "alu_dependent",
-    )
-
-    def __init__(self) -> None:
-        self.parent_loads: list[int] = []
-        self.row_stores: list[int] = []
-        self.merge_branches: list[bool] = []
-        self.changed_branches: list[bool] = []
-        self.queue_branches: list[bool] = []
-        self.threshold_branches: tuple[list[bool], list[bool]] = ([], [])
-        self.alu_total = 0
-        self.alu_dependent = 0
-
-
 class GBV:
-    """Graph Myers aligner for one query, reusable across graphs."""
+    """Graph Myers aligner for one query, reusable across graphs.
+
+    A row is ``H(min(cand(V), cand(p1), cand(p2), ...))`` over the
+    virtual start row ``V`` and the computed parents ``p_k``, where
+    ``cand(p) = min(p + 1, shift(p) + delta)`` and ``H`` is the
+    horizontal prefix pass.  ``cand`` is monotone, so the minimum of the
+    candidates is the candidate of the minimum: parents (``V``
+    included) merge first, then one candidate step runs.  Rows are held
+    as ``D[j] - j``, in which ``V`` is all zeros, the diagonal step adds
+    ``delta - 1`` and ``H`` is a plain prefix minimum; :meth:`align`
+    converts them back before the traceback.
+    """
 
     def __init__(self, query: str, probe: MachineProbe = NULL_PROBE) -> None:
         if not query:
@@ -85,28 +71,44 @@ class GBV:
         self.probe = probe
         m = len(query)
         self._indices = np.arange(m + 1, dtype=np.int64)
-        # delta[c][j] = 1 if query[j-1] != c (j >= 1)
-        self._delta: dict[str, np.ndarray] = {}
+        # Per base: the diagonal step delta[j] - 1 for j >= 1 (delta[j] =
+        # 1 if query[j-1] != base), and the whole row of a row whose
+        # parents are all uncomputed, H(cand(V)) -- constant per query.
+        self._diagonal: dict[str, np.ndarray] = {}
+        self._start_row: dict[str, np.ndarray] = {}
         for base in "ACGTN":
-            delta = np.ones(m + 1, dtype=np.int64)
-            for j, q in enumerate(self.query, start=1):
-                if q == base:
-                    delta[j] = 0
-            self._delta[base] = delta
-        self._virtual = self._indices.copy()  # D[start][j] = j
+            diagonal = -np.fromiter((q == base for q in query),
+                                    dtype=np.int64, count=m)
+            self._diagonal[base] = diagonal
+            start = np.ones(m + 1, dtype=np.int64)
+            np.minimum(start[1:], diagonal, out=start[1:])
+            np.minimum.accumulate(start, out=start)
+            start[0] = 0
+            self._start_row[base] = start
         self._words = (m + 63) // 64
+        # The cells the per-word threshold checks read: words 0, 4, 8...
+        # feed site 36 and words 2, 6, 10... site 38.
+        self._threshold_cells = np.asarray(
+            [min(word * 64 + 63, m) for word in range(0, self._words, 4)]
+            + [min(word * 64 + 63, m) for word in range(2, self._words, 4)],
+            dtype=np.int64,
+        )
+        # Merge-branch words: one per full 64 cells, and one word covering
+        # the whole row when the query is shorter than that.
+        self._merge_words = max(1, (m + 1) // 64)
+        self._merge_cells = min(self._merge_words * 64, m + 1)
 
     def align(self, graph: SequenceGraph) -> GBVResult:
         """Align the query to *graph* (cycles allowed)."""
         rows, row_parents, row_children, row_base = _row_graph(graph)
         m = len(self.query)
         probe = self.probe
+        words = self._words
         space = AddressSpace()
-        row_bytes = self._words * 16  # Pv + Mv words
+        row_bytes = words * 16  # Pv + Mv words
         row_address = [space.alloc(row_bytes) for _ in rows]
 
         values: list[np.ndarray | None] = [None] * len(rows)
-        computed = [0] * len(rows)
         rows_computed = 0
         queue_pushes = 0
         # Seed the queue with every row in (node, offset) order.
@@ -118,55 +120,127 @@ class GBV:
         # The probe never steers control flow, so data-dependent outcomes
         # and addresses accumulate per site and flush as blocks after the
         # stabilization loop instead of one call per word/parent/child.
-        acc = _EventAccumulator()
+        parent_loads: list[int] = []
+        row_stores: list[int] = []
+        merge_branches: list[bool] = []
+        changed_branches: list[bool] = []
+        queue_branches: list[bool] = []
+        # The threshold cells of each row evaluation, grown by doubling.
+        threshold_rows = np.empty(
+            (2 * len(rows) + 1, len(self._threshold_cells)), dtype=np.int64)
+        alu_total = 0
+        alu_dependent = 0
+
+        # Scratch rows reused by every row evaluation: the parent merge,
+        # the shifted diagonal candidate (cell 0 stays _BIG) and the
+        # improvement mask with its per-word view.  Array operands beat
+        # scalar ones in numpy's dispatch, hence the zero and one rows.
+        zeros = np.zeros(m + 1, dtype=np.int64)
+        ones = np.ones(m + 1, dtype=np.int64)
+        merged = np.empty(m + 1, dtype=np.int64)
+        merged_head = merged[:-1]
+        shifted = np.full(m + 1, _BIG, dtype=np.int64)
+        shifted_tail = shifted[1:]
+        improved = np.empty(m + 1, dtype=bool)
+        improved_words = improved[: self._merge_cells].reshape(
+            self._merge_words, -1)
+        unchanged_words = [False] * self._merge_words
+        diagonals = self._diagonal
+        diagonal_n = diagonals["N"]
+        start_rows = self._start_row
+        start_row_n = start_rows["N"]
+        threshold_cells = self._threshold_cells
+        minimum = np.minimum
+        prefix_minimum = np.minimum.accumulate
+        less = np.less
+        count_nonzero = np.count_nonzero
+        heappop = heapq.heappop
+        heappush = heapq.heappush
 
         while heap:
-            row = heapq.heappop(heap)
+            row = heappop(heap)
             in_queue[row] = False
-            delta = self._delta.get(row_base[row], self._delta["N"])
-            new_value = self._compute_row(
-                [values[p] for p in row_parents[row]], delta, row_address,
-                row_parents[row], acc,
-            )
+            # Merge the computed parents with the virtual start row.
+            count = 0
+            for parent in row_parents[row]:
+                parent_value = values[parent]
+                if parent_value is None:
+                    continue
+                parent_loads.append(row_address[parent])
+                if count:
+                    minimum(merged, parent_value, out=merged)
+                else:
+                    minimum(parent_value, zeros, out=merged)
+                count += 1
+            base = row_base[row]
+            if count:
+                np.add(merged_head, diagonals.get(base, diagonal_n),
+                       out=shifted_tail)
+                new_value = merged + ones
+                minimum(new_value, shifted, out=new_value)
+                # Horizontal pass: D[j] = min_k<=j D[k] + (j - k).
+                prefix_minimum(new_value, out=new_value)
+                new_value[0] = 0
+            else:
+                new_value = start_rows.get(base, start_row_n).copy()
+            # Per parent, the Myers word update is a serial chain of bit
+            # operations (carry-propagating adds) with about half its
+            # depth overlapping, plus a bitvector merge; the horizontal
+            # pass is serial.
+            alu_total += (20 * count + 4) * words
+            alu_dependent += (7 * count + 4) * words
+            # Per-word score/band threshold checks: GraphAligner decides
+            # per word whether the block is still under the score band,
+            # and the outcome follows the data (the misprediction source
+            # of Fig. 6).  They read the row before its merge with the
+            # old one.
+            if rows_computed == len(threshold_rows):
+                threshold_rows = np.concatenate(
+                    [threshold_rows, np.empty_like(threshold_rows)])
+            threshold_rows[rows_computed] = new_value[threshold_cells]
             rows_computed += 1
-            computed[row] += 1
             old_value = values[row]
             if old_value is not None:
-                improved = new_value < old_value
-                changed = bool(improved.any())
-                acc.alu_total += self._words
+                less(new_value, old_value, out=improved)
+                changed = count_nonzero(improved) > 0
+                alu_total += words
                 # Per-word merge comparisons: the data-dependent branches
                 # of the graph merge step (Section 5.2).
-                words = max(1, len(improved) // 64)
-                merged = improved[: words * 64]
-                acc.merge_branches.extend(
-                    (np.add.reduceat(merged, np.arange(words) * 64) > 0).tolist()
-                )
+                if changed:
+                    merge_branches.extend(improved_words.any(axis=1).tolist())
+                    minimum(new_value, old_value, out=new_value)
+                else:
+                    merge_branches.extend(unchanged_words)
             else:
                 changed = True
-            acc.changed_branches.append(changed)
+            changed_branches.append(changed)
             if not changed:
                 continue
-            if old_value is not None:
-                np.minimum(new_value, old_value, out=new_value)
             values[row] = new_value
-            acc.row_stores.append(row_address[row])
+            row_stores.append(row_address[row])
             for child in row_children[row]:
-                acc.queue_branches.append(not in_queue[child])
+                queue_branches.append(not in_queue[child])
                 if not in_queue[child]:
-                    heapq.heappush(heap, child)
+                    heappush(heap, child)
                     in_queue[child] = True
                     queue_pushes += 1
 
-        probe.load_block(acc.parent_loads, self._words * 16)
-        probe.store_block(acc.row_stores, row_bytes)
-        probe.alu_bulk(OpClass.SCALAR_ALU, acc.alu_total, acc.alu_dependent)
-        probe.branch_trace(32, acc.merge_branches)
-        probe.branch_trace(30, acc.changed_branches)
-        probe.branch_trace(31, acc.queue_branches)
-        probe.branch_trace(36, acc.threshold_branches[0])
-        probe.branch_trace(38, acc.threshold_branches[1])
+        cells = threshold_rows[:rows_computed]
+        thresholds = ((cells + threshold_cells) & 3) == 0
+        site_36_cells = len(range(0, words, 4))
+        probe.load_block(parent_loads, words * 16)
+        probe.store_block(row_stores, row_bytes)
+        probe.alu_bulk(OpClass.SCALAR_ALU, alu_total, alu_dependent)
+        probe.branch_trace(32, merge_branches)
+        probe.branch_trace(30, changed_branches)
+        probe.branch_trace(31, queue_branches)
+        probe.branch_trace(36, thresholds[:, :site_36_cells].ravel().tolist())
+        probe.branch_trace(38, thresholds[:, site_36_cells:].ravel().tolist())
 
+        indices = self._indices
+        for value in values:
+            if value is not None:
+                value += indices
         best = _BIG
         best_row = 0
         for row, value in enumerate(values):
@@ -235,52 +309,6 @@ class GBV:
             if not moved:
                 # Alignment start reached (virtual row).
                 break
-
-    def _compute_row(
-        self,
-        parent_values: list[np.ndarray | None],
-        delta: np.ndarray,
-        row_address: list[int],
-        parent_ids: list[int],
-        acc: "_EventAccumulator",
-    ) -> np.ndarray:
-        """Evaluate one row from its parents (plus the virtual start row)."""
-        candidates = [self._candidate(self._virtual, delta)]
-        for parent_id, parent in zip(parent_ids, parent_values):
-            if parent is None:
-                continue
-            acc.parent_loads.append(row_address[parent_id])
-            candidates.append(self._candidate(parent, delta))
-            # The Myers word update is a serial chain of bit operations
-            # (carry-propagating adds); about half its depth overlaps.
-            acc.alu_total += 14 * self._words
-            acc.alu_dependent += 7 * self._words
-        row = candidates[0]
-        # bitvector merges
-        acc.alu_total += 6 * self._words * (len(candidates) - 1)
-        for other in candidates[1:]:
-            np.minimum(row, other, out=row)
-        # Horizontal pass: row[j] = min_k<=j row[k] + (j - k).
-        np.minimum.accumulate(row - self._indices, out=row)
-        row += self._indices
-        acc.alu_total += 4 * self._words
-        acc.alu_dependent += 4 * self._words
-        row[0] = 0
-        # Per-word score/band threshold checks: GraphAligner decides per
-        # word whether the block is still under the score band, and the
-        # outcome follows the data (the misprediction source of Fig. 6).
-        m = len(row) - 1
-        for word in range(0, self._words, 2):
-            cell = int(row[min(word * 64 + 63, m)])
-            acc.threshold_branches[(word % 4) // 2].append((cell & 3) == 0)
-        return row
-
-    def _candidate(self, parent: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """min(parent + 1, diag(parent) + delta) without the horizontal term."""
-        shifted = np.empty_like(parent)
-        shifted[0] = _BIG
-        shifted[1:] = parent[:-1]
-        return np.minimum(parent + 1, shifted + delta)
 
 
 def _row_graph(

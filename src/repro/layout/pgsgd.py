@@ -112,9 +112,9 @@ class PGSGDLayout:
     anchors read one layout snapshot and scatter their deltas in a
     single vector step — bit-identical to the sequential walk, with run
     length growing as anchor collisions get rarer on larger graphs.
-    Sampling stays on the scalar :meth:`PathIndex.sample_step_pair`
-    stream, so the term sequence — and with it every coordinate and
-    probe event — is independent of the batching.
+    Sampling draws the scalar :meth:`PathIndex.sample_step_pair` stream
+    term for term, so the term sequence — and with it every coordinate
+    and probe event — is independent of the batching.
 
     ``backend="scalar"`` runs the same sampled terms through the
     sequential per-term scalar loop — the differential-test reference.
@@ -148,6 +148,28 @@ class PGSGDLayout:
         for anchor_index, node_id in enumerate(sorted(graph.node_ids())):
             self._node_anchor[node_id] = 2 * anchor_index
         self.n_anchors = 2 * graph.node_count
+        # Per path, for :meth:`_sample_terms`: each step's start anchor,
+        # start and end positions, the step count with its bit length,
+        # and the Zipf jump's scale (step count - 1) ** (1 - theta) and
+        # exponent 1 / (1 - theta) -- unused, and zero, where every jump
+        # is 1.
+        theta = self.params.zipf_theta
+        self._path_tables: list[
+            tuple[list[int], list[int], list[int], int, int, float, float]
+        ] = []
+        for path_index in range(self.index.path_count):
+            steps = self.index.steps_of(path_index)
+            n = len(steps)
+            zipf = n > 2
+            self._path_tables.append((
+                [self._node_anchor[step.node_id] for step in steps],
+                [step.position for step in steps],
+                [step.position + len(graph.node(step.node_id)) for step in steps],
+                n,
+                n.bit_length(),
+                (n - 1) ** (1.0 - theta) if zipf else 0.0,
+                1.0 / (1.0 - theta) if zipf else 0.0,
+            ))
         space = AddressSpace()
         self._virtual_scale = max(1, self.params.virtual_anchor_scale)
         self._virtual_slots = self.n_anchors * self._virtual_scale
@@ -240,32 +262,64 @@ class PGSGDLayout:
         """Sample *count* terms; returns (anchor_a, anchor_b, target)
         with same-anchor terms dropped.
 
-        Sampling walks :meth:`PathIndex.sample_step_pair` on the layout's
-        own RNG stream — term for term the sequence the per-update loop
-        drew — so batching the update step leaves the trajectory
-        untouched.
+        Draws exactly what a loop of :meth:`PathIndex.sample_step_pair`
+        plus two ``rng.random()`` node ends draws, term for term, on the
+        layout's own RNG stream, so batching the update step leaves the
+        trajectory untouched.  The scalar definitions (the pair sampler,
+        its Zipf jump, :meth:`anchor_of` and :meth:`anchor_position`)
+        are inlined over per-path tables, and ``randrange(n)`` runs as
+        CPython's own rejection loop over ``getrandbits(n.bit_length())``,
+        which consumes the generator identically.
         """
-        rng = self._rng
+        getrandbits = self._rng.getrandbits
+        random_ = self._rng.random
+        paths = self._path_tables
+        n_paths = len(paths)
+        path_bits = n_paths.bit_length()
         anchors_a: list[int] = []
         anchors_b: list[int] = []
         targets: list[float] = []
         for _ in range(count):
-            step_a, step_b = self.index.sample_step_pair(
-                rng, zipf_theta=self.params.zipf_theta
-            )
+            path = getrandbits(path_bits)
+            while path >= n_paths:
+                path = getrandbits(path_bits)
+            anchors, starts, ends, n, bits, zipf_scale, zipf_exponent = paths[path]
+            if n == 1:
+                first = second = 0
+            else:
+                first = getrandbits(bits)
+                while first >= n:
+                    first = getrandbits(bits)
+                max_jump = n - 1
+                if max_jump <= 1:
+                    jump = 1
+                else:
+                    jump = int((zipf_scale * random_() + 1.0) ** zipf_exponent)
+                    if jump > max_jump:
+                        jump = max_jump
+                    elif jump < 1:
+                        jump = 1
+                if random_() < 0.5:
+                    second = first - jump
+                    if second < 0:
+                        second = 0
+                else:
+                    second = first + jump
+                    if second > max_jump:
+                        second = max_jump
+                if second == first:
+                    second = (first + 1) % n
             # Random ends of the two visited nodes; the target distance
             # is measured between the chosen ends (odgi's term
             # definition).
-            end_a = rng.random() < 0.5
-            end_b = rng.random() < 0.5
-            anchor_a = self.anchor_of(step_a, end_a)
-            anchor_b = self.anchor_of(step_b, end_b)
+            end_a = random_() < 0.5
+            end_b = random_() < 0.5
+            anchor_a = anchors[first] + end_a
+            anchor_b = anchors[second] + end_b
             if anchor_a == anchor_b:
                 continue
-            target = float(abs(
-                self.anchor_position(step_b, end_b)
-                - self.anchor_position(step_a, end_a)
-            ))
+            target = float(abs((ends if end_b else starts)[second]
+                               - (ends if end_a else starts)[first]))
             anchors_a.append(anchor_a)
             anchors_b.append(anchor_b)
             targets.append(target or 1.0)

@@ -7,80 +7,16 @@ fails here even when the machine summary would not notice.  Single
 alignments and the lock-step batch entry points must both reproduce it.
 """
 
-import hashlib
-import importlib
-import json
 import random
 
-import numpy as np
 import pytest
+from recording_probe import RecordingProbe
 
 from repro.align.gssw import GSSW, gssw_align_many
 from repro.align.scoring import VG_DEFAULT
 from repro.align.smith_waterman import StripedSmithWaterman, ssw_align_many
 from repro.graph.model import SequenceGraph
 from repro.kernels import create_kernel
-from repro.uarch.events import AddressSpace, MachineProbe, OpClass
-
-#: The module, not the ``repro.align.smith_waterman`` function it shadows.
-ssw_module = importlib.import_module("repro.align.smith_waterman")
-
-
-def _plain(value):
-    if isinstance(value, OpClass):
-        return value.value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return [_plain(item) for item in value]
-
-
-class RecordingProbe(MachineProbe):
-    """Keeps every probe call verbatim; batch payloads become lists."""
-
-    def __init__(self):
-        self.calls = []
-
-    def _record(self, method, *args):
-        self.calls.append([method, [_plain(arg) for arg in args]])
-
-    def alu(self, op_class, count=1, dependent=False):
-        self._record("alu", op_class, count, dependent)
-
-    def load(self, address, size=8):
-        self._record("load", address, size)
-
-    def store(self, address, size=8):
-        self._record("store", address, size)
-
-    def branch(self, site, taken):
-        self._record("branch", site, taken)
-
-    def branch_run(self, site, taken_count):
-        self._record("branch_run", site, taken_count)
-
-    def branch_bulk(self, site, taken_count):
-        self._record("branch_bulk", site, taken_count)
-
-    def load_block(self, addresses, size=8):
-        self._record("load_block", addresses, size)
-
-    def store_block(self, addresses, size=8):
-        self._record("store_block", addresses, size)
-
-    def branch_trace(self, site, outcomes):
-        self._record("branch_trace", site, outcomes)
-
-    def alu_bulk(self, op_class, count, dependent_count=0):
-        self._record("alu_bulk", op_class, count, dependent_count)
-
-    def touch_region(self, address, size, stride=64):
-        self._record("touch_region", address, size, stride)
-
-    def digest(self):
-        payload = json.dumps(self.calls, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _dna(rng, length, alphabet="ACGT"):
@@ -135,14 +71,6 @@ SSW_GOLDEN = "f5934eeedd84418f"
 GSSW_GOLDEN = "6a2153458782e749"
 #: The ssw and gssw kernels' ``_execute`` streams at scale 0.25, seed 0.
 KERNEL_GOLDEN = {"ssw": "8d56073b302ec7ef", "gssw": "b034dce7f4643497"}
-
-
-@pytest.fixture
-def fresh_target_space(monkeypatch):
-    """SSW's target windows come from a process-wide address space;
-    restart it so the recorded addresses do not depend on test order."""
-    monkeypatch.setattr(ssw_module, "_TARGET_SPACE",
-                        AddressSpace(base=1 << 33))
 
 
 def record_ssw_singles():

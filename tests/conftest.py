@@ -1,9 +1,12 @@
 """Shared fixtures: a small deterministic corpus reused across tests."""
 
+import importlib
+
 import pytest
 
 from repro.data import ArtifactStore, corpus, set_default_store
 from repro.graph.builder import simulate_graph_pangenome
+from repro.uarch.events import AddressSpace
 
 
 TEST_SCALE = 0.25
@@ -33,3 +36,13 @@ def small_suite(_isolated_dataset_store):
 def small_graph_pangenome():
     """A small ground-truth variation graph + consistent haplotypes."""
     return simulate_graph_pangenome(genome_length=4000, n_haplotypes=4, seed=11)
+
+
+@pytest.fixture
+def fresh_target_space(monkeypatch):
+    """SSW's target windows come from a process-wide address space;
+    restart it so recorded probe addresses do not depend on test order."""
+    # The module, not the ``repro.align.smith_waterman`` function it shadows.
+    ssw_module = importlib.import_module("repro.align.smith_waterman")
+    monkeypatch.setattr(ssw_module, "_TARGET_SPACE",
+                        AddressSpace(base=1 << 33))

@@ -190,8 +190,9 @@ class CountingStore(ArtifactStore):
 class TestOneChunkPrepare:
     @pytest.mark.parametrize("kernel,calls", [
         ("tsu", ["tsu_pairs"]),
-        # gbwt's prepare also builds its index from the corpus graph.
-        ("gbwt", ["corpus", "gbwt_queries"]),
+        # gbwt's prepare also lays out its records from the corpus graph
+        # and resolves its index as a derivation.
+        ("gbwt", ["corpus", "gbwt_index", "gbwt_queries"]),
         ("gssw", ["gssw_inputs"]),
     ])
     def test_warm_prepare_fetches_its_input_once(self, tmp_path, kernel,
