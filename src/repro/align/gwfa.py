@@ -26,6 +26,8 @@ from repro.uarch.events import NULL_PROBE, MachineProbe, OpClass
 
 _NONE = -(10**9)
 _START = -1  # virtual node id for the trimmed start node
+#: Simulated match loop-back outcomes for a trained run of 0-3 matches.
+_MATCH_RUNS = ((False,), (True, False), (True, True, False), (True, True, True, False))
 
 
 @dataclass
@@ -49,58 +51,55 @@ class GWFAResult:
     stats: GWFAStats = field(compare=False, default_factory=GWFAStats)
 
 
-class _GWFARun:
-    """One GWFA alignment: query vs graph from a fixed start position."""
+class _NodeTable(dict):
+    """Per-run node table, resolved on first use: id -> (sequence, length,
+    sorted successors, their probe addresses, their dispatch outcomes)."""
 
-    def __init__(
-        self,
-        query: str,
-        graph: SequenceGraph,
-        start_node: int,
-        start_offset: int,
-        probe: MachineProbe,
-        max_score: int | None,
-    ) -> None:
+    def __init__(self, graph: SequenceGraph) -> None:
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, node_id: int) -> tuple:
+        sequence = self.graph.node(node_id).sequence
+        children = self.graph.successors(node_id)
+        self[node_id] = entry = (
+            sequence, len(sequence), children, [child * 64 for child in children],
+            [((child * 2654435761) >> 13) & 1 == 1 for child in children])
+        return entry
+
+
+class _GWFARun:
+    """One GWFA alignment: query vs graph from a fixed start position.
+
+    Frontier states keep ``0 <= i <= len(node)`` and ``0 <= j <= m``; a
+    wavefront expands only states with ``j < m`` (one at ``m`` ends the
+    run).  Labels are never empty, so no child's entry is its end.
+    """
+
+    def __init__(self, query: str, graph: SequenceGraph, start_node: int,
+                 start_offset: int, probe: MachineProbe,
+                 max_score: int | None) -> None:
         if not query:
             raise AlignmentError("empty query")
         node = graph.node(start_node)
         if not 0 <= start_offset < len(node):
-            raise AlignmentError(
-                f"start offset {start_offset} out of range for node {start_node}"
-            )
+            raise AlignmentError(f"start offset {start_offset} out of range"
+                                 f" for node {start_node}")
         self.query = query
-        self.graph = graph
         self.start_node = start_node
         self.start_offset = start_offset
         self.probe = probe
         self.limit = max_score if max_score is not None else 2 * len(query) + 16
         self.stats = GWFAStats()
-        self._start_suffix = node.sequence[start_offset:]
-        self._sequences: dict[int, str] = {}
-
-    def sequence_of(self, node_id: int) -> str:
-        if node_id == _START:
-            return self._start_suffix
-        cached = self._sequences.get(node_id)
-        if cached is None:
-            cached = self.graph.node(node_id).sequence
-            self._sequences[node_id] = cached
-        return cached
-
-    def successors_of(self, node_id: int) -> list[int]:
-        if node_id == _START:
-            node_id = self.start_node
-        return self.graph.successors(node_id)
-
-    # ------------------------------------------------------------------
+        self._nodes = _NodeTable(graph)
+        suffix = node.sequence[start_offset:]
+        self._nodes[_START] = (suffix, len(suffix)) + self._nodes[start_node][2:]
 
     def run(self) -> GWFAResult:
-        m = len(self.query)
         frontier: dict[tuple[int, int], int] = {(_START, 0): 0}
-        self._extend_all(frontier)
+        reached = self._extend_all(frontier)
         score = 0
-        goal = self._goal(frontier)
-        while goal is None:
+        while not reached:
             if score >= self.limit:
                 raise AlignmentError(f"gwfa exceeded max score {self.limit}")
             score += 1
@@ -108,79 +107,73 @@ class _GWFARun:
             frontier = self._next_wavefront(frontier)
             if not frontier:
                 raise AlignmentError("gwfa wavefront died")
-            self._extend_all(frontier)
+            reached = self._extend_all(frontier)
             self.stats.max_frontier = max(self.stats.max_frontier, len(frontier))
-            goal = self._goal(frontier)
-        end_node, end_k, end_j = goal
-        end_i = end_j - end_k
+        m = len(self.query)
+        end_node, end_k, end_j = next((node_id, k, j) for (node_id, k), j
+                                      in frontier.items() if j >= m)
         if end_node == _START:
-            return GWFAResult(score, self.start_node, self.start_offset + end_i, self.stats)
-        return GWFAResult(score, end_node, end_i, self.stats)
+            end_node, end_k = self.start_node, end_k - self.start_offset
+        return GWFAResult(score, end_node, end_j - end_k, self.stats)
 
-    def _goal(self, frontier: dict[tuple[int, int], int]) -> tuple[int, int, int] | None:
-        m = len(self.query)
-        for (node_id, k), j in frontier.items():
-            if j >= m:
-                return node_id, k, j
-        return None
-
-    def _extend_all(self, frontier: dict[tuple[int, int], int]) -> None:
-        """Greedy match extension, cascading node-end expansions (cost 0).
-
-        Per-state events buffer in Python lists and flush as one block
-        per wavefront, matching the kernel's natural batch size.
-        """
-        m = len(self.query)
-        probe = self.probe
+    def _extend_all(self, frontier: dict[tuple[int, int], int]) -> bool:
+        """Greedy match extension, cascading node-end expansions (cost 0);
+        True once a state has consumed the whole query.  Events flush as
+        one block per wavefront, the kernel's natural batch size."""
+        query = self.query
+        m = len(query)
+        nodes = self._nodes
+        get = frontier.get
         worklist = list(frontier.items())
         state_loads: list[int] = []
         child_loads: list[int] = []
         child_branches: list[bool] = []
         match_outcomes: list[bool] = []
-        match_bulk = 0
-        guards = 0
-        alu_total = 0
-        alu_dependent = 0
+        cells = halves = match_bulk = expansions = 0
+        reached = False
         while worklist:
-            (node_id, k), j = worklist.pop()
-            if frontier.get((node_id, k), _NONE) > j:
-                continue
-            sequence = self.sequence_of(node_id)
+            key, j = worklist.pop()
+            node_id, k = key
+            sequence, length, children, loads, branches = nodes[node_id]
             state_loads.append(abs(node_id) * 64)
             i = j - k
             start_j = j
-            while i < len(sequence) and j < m and sequence[i] == self.query[j]:
+            while i < length and j < m and sequence[i] == query[j]:
                 i += 1
                 j += 1
             advanced = j - start_j
-            self.stats.cells_extended += advanced
-            # Wavefront bookkeeping + per-character compare/advance ops.
-            alu_total += 16 + 8 * advanced + max(1, advanced // 2)
-            alu_dependent += max(1, advanced // 2)
+            cells += advanced
+            # Half a compare/advance op per character, at least one.
+            halves += advanced >> 1 or 1
             # The match loop-back branch: boundary outcomes simulated,
             # the saturated middle credited in bulk (like branch_run).
-            trained = min(advanced, 3)
-            match_outcomes.extend([True] * trained)
+            trained = 3 if advanced > 3 else advanced
+            match_outcomes += _MATCH_RUNS[trained]
             match_bulk += advanced - trained
-            match_outcomes.append(False)
-            guards += 1
-            if j > frontier.get((node_id, k), _NONE):
-                frontier[(node_id, k)] = j
-            if i >= len(sequence) and j < m:
+            if advanced:  # frontier[key] held the popped j: no key is queued twice
+                frontier[key] = j
+            if j >= m:
+                reached = True
+            elif i == length:
                 # Node exhausted: spill this diagonal into each child.
                 # The child dispatch is data-dependent control divergence
                 # (which child, how many), worse for longer queries that
                 # cross more nodes (the paper's lr-vs-cr contrast).
-                for child in self.successors_of(node_id):
-                    self.stats.expansions += 1
-                    child_loads.append(child * 64)
-                    child_branches.append(((child * 2654435761) >> 13) & 1 == 1)
+                expansions += len(children)
+                child_loads += loads
+                child_branches += branches
+                for child in children:
                     child_key = (child, j)  # child i' = 0 -> k' = j
-                    if j > frontier.get(child_key, _NONE):
+                    if j > get(child_key, _NONE):
                         frontier[child_key] = j
                         worklist.append((child_key, j))
+        self.stats.cells_extended += cells
+        self.stats.expansions += expansions
+        probe = self.probe
+        guards = len(state_loads)
         probe.load_block(state_loads, 8)
-        probe.alu_bulk(OpClass.SCALAR_ALU, alu_total, alu_dependent)
+        # Wavefront bookkeeping + per-character compare/advance ops.
+        probe.alu_bulk(OpClass.SCALAR_ALU, 16 * guards + 8 * cells + halves, halves)
         probe.branch_trace(50, match_outcomes)
         if match_bulk:
             probe.branch_bulk(50, match_bulk)
@@ -189,59 +182,66 @@ class _GWFARun:
         probe.branch_trace(54, [False] * guards)
         probe.load_block(child_loads, 8)
         probe.branch_trace(53, child_branches)
+        return reached
 
-    def _next_wavefront(
-        self, frontier: dict[tuple[int, int], int]
-    ) -> dict[tuple[int, int], int]:
-        """One unit-cost step: mismatch, insertion, deletion."""
+    def _next_wavefront(self, frontier: dict[tuple[int, int], int]
+                        ) -> dict[tuple[int, int], int]:
+        """One unit-cost step, offered in this order: mismatch (k, j+1),
+        insertion (k+1, j+1), deletion (k-1, j).  A state at a node end
+        keeps only its insertion in the node; the same three edits then
+        apply to each child matrix, as from its entry (i = 0, k = j)."""
         m = len(self.query)
-        probe = self.probe
+        nodes = self._nodes
+        at_end = self._at_end
         out: dict[tuple[int, int], int] = {}
+        get = out.get
+        for state, j in frontier.items():
+            node_id, k = state
+            j1 = j + 1
+            entries = (state,)
+            if j - k == nodes[node_id][1]:
+                at_end(out, node_id, k + 1, j1)
+                entries = [(child, j) for child in nodes[node_id][2]]
+            for node_id, k in entries:
+                # Mismatch and deletion move to i + 1, maybe the node end.
+                inside = j - k + 1 < nodes[node_id][1]
+                key = (node_id, k)
+                if not inside:
+                    at_end(out, node_id, k, j1)
+                elif j1 > get(key, _NONE):
+                    out[key] = j1
+                key = (node_id, k + 1)
+                if j1 > get(key, _NONE):
+                    out[key] = j1
+                key = (node_id, k - 1)
+                if not inside:
+                    at_end(out, node_id, k - 1, j)
+                elif j > get(key, _NONE):
+                    out[key] = j
+        state_loads = [abs(node_id) * 64 + (k % 64) for node_id, k in frontier]
+        range_branches = [j < m for j in frontier.values()]  # in range
+        states = len(state_loads)
+        self.stats.states_processed += states
+        self.probe.load_block(state_loads, 8)
+        # 20 bound-check ops for the three offers + the 4-deep FR max chain.
+        self.probe.alu_bulk(OpClass.SCALAR_ALU, 24 * states, 4 * states)
+        self.probe.branch_trace(51, range_branches)
+        return out
 
-        def offer(node_id: int, k: int, j: int) -> None:
-            length = len(self.sequence_of(node_id))
-            i = j - k
-            if j < 0 or j > m or i < 0 or i > length:
-                return
-            if i == length and j < m:
-                children = self.successors_of(node_id)
-                if children:
-                    for child in children:
-                        self.stats.expansions += 1
-                        offer(child, j, j)
-                    return
-                # Graph sink: keep the state so trailing insertions can
-                # still consume the rest of the query.
-            key = (node_id, k)
+    def _at_end(self, out: dict[tuple[int, int], int], node_id: int, k: int,
+                j: int) -> None:
+        """Offer a state that sits at its node's end: while query remains
+        it spills into each child's entry; a graph sink keeps it, so
+        trailing insertions can still consume the rest of the query."""
+        children = self._nodes[node_id][2]
+        if j < len(self.query) and children:
+            self.stats.expansions += len(children)
+            keys = [(child, j) for child in children]
+        else:
+            keys = [(node_id, k)]
+        for key in keys:
             if j > out.get(key, _NONE):
                 out[key] = j
-
-        m = len(self.query)
-        state_loads: list[int] = []
-        range_branches: list[bool] = []
-        for (node_id, k), j in frontier.items():
-            self.stats.states_processed += 1
-            state_loads.append(abs(node_id) * 64 + (k % 64))
-            range_branches.append(j < m)  # in-range check, predictable
-            length = len(self.sequence_of(node_id))
-            i = j - k
-            offer(node_id, k, j + 1)      # mismatch
-            offer(node_id, k + 1, j + 1)  # insertion (consume query only)
-            offer(node_id, k - 1, j)      # deletion (consume node base only)
-            if i >= length:
-                # The state sat at a node end: the same edits apply to the
-                # first base of each child matrix.
-                for child in self.successors_of(node_id):
-                    offer(child, j, j + 1)      # mismatch
-                    offer(child, j + 1, j + 1)  # insertion at child entry
-                    offer(child, j - 1, j)      # deletion of child's first base
-        probe.load_block(state_loads, 8)
-        # 20 bound-check ops for the three offers + the 4-deep FR max chain.
-        probe.alu_bulk(
-            OpClass.SCALAR_ALU, 24 * len(state_loads), 4 * len(state_loads)
-        )
-        probe.branch_trace(51, range_branches)
-        return out
 
 
 def gwfa_align(

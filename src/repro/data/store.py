@@ -45,7 +45,7 @@ import tempfile
 import time
 import weakref
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -135,11 +135,13 @@ class ArtifactStore:
     """Build-once, share-everywhere cache of corpora and derived inputs.
 
     ``memory_slots`` bounds the strong in-memory ring (the evictable
-    replacement for the old unbounded-lifetime ``lru_cache``).
+    replacement for the old unbounded-lifetime ``lru_cache``): the most
+    recently resolved distinct entries, one slot each.  The default
+    keeps the 13 artifacts one suite pass resolves resident.
     """
 
     def __init__(self, root: str | Path | None = None,
-                 memory_slots: int = 4) -> None:
+                 memory_slots: int = 16) -> None:
         self.root = Path(root) if root is not None else default_data_dir()
         self._memory: weakref.WeakValueDictionary[str, _Artifact] = (
             weakref.WeakValueDictionary()
@@ -168,7 +170,11 @@ class ArtifactStore:
         holder = self._memory.get(key)
         if holder is None:
             return None
-        self._recent.append(holder)  # refresh recency
+        # Refresh recency by moving the holder to the end, so each slot
+        # holds a distinct entry.
+        with suppress(ValueError):  # it had left the ring
+            self._recent.remove(holder)
+        self._recent.append(holder)
         return holder.value
 
     def evict_memory(self) -> None:

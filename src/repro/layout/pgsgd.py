@@ -204,6 +204,21 @@ class PGSGDLayout:
         # Per-anchor visit counters for the vectorized slot rotation
         # (the scalar :meth:`_anchor_address` keeps its own dict).
         self._visit_np = np.zeros(self.n_anchors, dtype=np.int64)
+        # The stress sample: a fixed draw of node-start anchor pairs, so
+        # stress is comparable across iterations.  Drawn once per layout.
+        stress_rng = random.Random(1234)
+        stress_pairs: list[tuple[int, int]] = []
+        self._stress_targets: list[float] = []
+        for _ in range(200):
+            step_a, step_b = self.index.sample_step_pair(stress_rng)
+            pair = (self.anchor_of(step_a, False), self.anchor_of(step_b, False))
+            if pair[0] != pair[1]:
+                stress_pairs.append(pair)
+                self._stress_targets.append(float(abs(
+                    self.anchor_position(step_b, False)
+                    - self.anchor_position(step_a, False)
+                )) or 1.0)
+        self._stress_pairs = np.asarray(stress_pairs, dtype=np.int64).reshape(-1, 2)
 
     def anchor_of(self, step: PathStep, end: bool) -> int:
         """Anchor index for a path step (False = node start, True = end)."""
@@ -486,27 +501,18 @@ class PGSGDLayout:
             )
         return self._layout_base + slot * self.BYTES_PER_ANCHOR
 
-    def _sample_stress(self, samples: int = 200) -> float:
-        """Normalized stress over a fixed random sample of anchor pairs."""
-        rng = random.Random(1234)  # fixed: comparable across iterations
+    def _sample_stress(self) -> float:
+        """Normalized stress over the fixed sample of anchor pairs, summed
+        in draw order."""
+        targets = self._stress_targets
+        if not targets:
+            return 0.0
+        ends = self.positions[self._stress_pairs]
+        deltas = (ends[:, 0] - ends[:, 1]).tolist()
         total = 0.0
-        count = 0
-        for _ in range(samples):
-            step_a, step_b = self.index.sample_step_pair(rng)
-            anchor_a = self.anchor_of(step_a, False)
-            anchor_b = self.anchor_of(step_b, False)
-            if anchor_a == anchor_b:
-                continue
-            target = float(abs(
-                self.anchor_position(step_b, False)
-                - self.anchor_position(step_a, False)
-            )) or 1.0
-            ax, ay = self.positions[anchor_a]
-            bx, by = self.positions[anchor_b]
-            actual = math.hypot(ax - bx, ay - by)
-            total += ((actual - target) / target) ** 2
-            count += 1
-        return total / count if count else 0.0
+        for (dx, dy), target in zip(deltas, targets):
+            total += ((math.hypot(dx, dy) - target) / target) ** 2
+        return total / len(targets)
 
 
 def pgsgd_layout(

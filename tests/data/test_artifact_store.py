@@ -132,6 +132,19 @@ class TestMemoryLayer:
         _, origin = store.fetch(SMALL)
         assert origin == DISK
 
+    def test_repeated_recalls_keep_distinct_entries_held(self, tmp_path):
+        """A refresh moves an entry to the ring's end instead of taking a
+        second slot, so N slots keep N distinct entries strongly held."""
+        store = ArtifactStore(tmp_path, memory_slots=2)
+        store.fetch(SMALL)
+        for _ in range(3):
+            _, origin = store.fetch(small(seed=1))
+        assert origin == MEMORY
+        gc.collect()
+        assert len(store._memory) == 2
+        _, origin = store.fetch(SMALL)
+        assert origin == MEMORY
+
     def test_evict_memory_keeps_disk(self, store):
         store.fetch(SMALL)
         store.evict_memory()

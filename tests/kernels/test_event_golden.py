@@ -6,7 +6,10 @@ hash keeps every probe event, in order and with the same payloads, so
 the simulated instrument's summaries cannot move.  GBV additionally
 pins two hand-made cases the kernel corpus does not reach: a query
 shorter than one 64-cell word, and a cyclic graph with multi-parent
-rows.
+rows.  GWFA pins five: a mid-node start on a cycle that re-enters the
+start node, a walk that ends inside the start node's suffix, a graph
+sink that needs trailing insertions, chained multi-child spills, and a
+query that exceeds ``max_score``.
 """
 
 import random
@@ -15,6 +18,8 @@ import pytest
 from recording_probe import RecordingProbe
 
 from repro.align.gbv import GBV, graph_edit_distance_scalar
+from repro.align.gwfa import graph_edit_distance_from, gwfa_align
+from repro.errors import AlignmentError
 from repro.graph.model import SequenceGraph
 from repro.kernels import create_kernel
 
@@ -99,3 +104,88 @@ def test_gbv_cases_match_oracle(case):
     query, graph = gbv_cases()[case]
     assert (GBV(query).align(graph).distance
             == graph_edit_distance_scalar(query, graph))
+
+
+def gwfa_cases():
+    """(query, graph, start node, start offset, max_score) for GWFA."""
+    # A start at offset 6 of node 0 on a cycle back into node 0, so the
+    # walk sees the start suffix first and the full node on re-entry.
+    cycle = SequenceGraph()
+    for node, sequence in enumerate(["ACGTTGCAAC", "GAT", "CC"]):
+        cycle.add_node(node, sequence)
+    for source, target in [(0, 1), (1, 2), (2, 0), (1, 0)]:
+        cycle.add_edge(source, target)
+    # A sink two bases after the start: the query's tail is insertions.
+    sink = SequenceGraph()
+    sink.add_node(0, "ACGTAC")
+    sink.add_node(1, "GT")
+    sink.add_edge(0, 1)
+    # Layers of 1- and 2-base nodes, each fully joined to the next, so
+    # one node end spills into several children that end at once too.
+    rng = random.Random(9)
+    layered = SequenceGraph()
+    layers = [[0]]
+    layered.add_node(0, "AC")
+    for _ in range(6):
+        layer = []
+        for _ in range(3):
+            node = layered.node_count
+            layered.add_node(node, _dna(rng, rng.randint(1, 2)))
+            layer.append(node)
+        for source in layers[-1]:
+            for target in layer:
+                layered.add_edge(source, target)
+        layers.append(layer)
+    return [
+        ("CAACGATCCACGTAGCAACGATACGTTG", cycle, 0, 6, None),
+        ("TGCA", cycle, 0, 4, None),
+        ("CGTACGTTTGCA", sink, 0, 1, None),
+        ("ACGTACATGCAGTC", layered, 0, 0, None),
+        ("GGGGGGTTTTTT", sink, 0, 0, 3),
+    ]
+
+
+#: sha256 prefix of the recorded stream of :func:`gwfa_cases`.
+GWFA_CASES_GOLDEN = "11e944eaf4cdc1f6"
+
+#: Per case: (distance, end node, end offset, scores, states_processed,
+#: expansions, cells_extended, max_frontier), or None where the query
+#: exceeds ``max_score``.
+GWFA_CASES_RESULTS = [
+    (1, 0, 6, 1, 5, 15, 34, 14),
+    (0, 0, 8, 0, 0, 0, 4, 0),
+    (5, 1, 2, 5, 20, 2, 9, 5),
+    (4, 17, 2, 4, 243, 1548, 94, 117),
+    None,
+]
+
+
+def test_gwfa_cases_stream():
+    probe = RecordingProbe()
+    results = []
+    for query, graph, node, offset, max_score in gwfa_cases():
+        try:
+            result = gwfa_align(query, graph, node, offset, probe=probe,
+                                max_score=max_score)
+        except AlignmentError:
+            results.append(None)
+            continue
+        stats = result.stats
+        results.append((result.distance, result.end_node, result.end_offset,
+                        stats.scores, stats.states_processed,
+                        stats.expansions, stats.cells_extended,
+                        stats.max_frontier))
+    assert probe.digest() == GWFA_CASES_GOLDEN
+    assert results == GWFA_CASES_RESULTS
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_gwfa_cases_match_oracle(case):
+    query, graph, node, offset, max_score = gwfa_cases()[case]
+    want = graph_edit_distance_from(query, graph, node, offset)
+    if max_score is not None and want > max_score:
+        with pytest.raises(AlignmentError):
+            gwfa_align(query, graph, node, offset, max_score=max_score)
+    else:
+        assert gwfa_align(query, graph, node, offset,
+                          max_score=max_score).distance == want

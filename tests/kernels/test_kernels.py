@@ -4,7 +4,7 @@ import importlib
 
 import pytest
 
-from repro.errors import KernelError
+from repro.errors import AlignmentError, KernelError
 from repro.kernels import (
     CPU_KERNELS,
     SUITE_KERNELS,
@@ -97,6 +97,22 @@ class TestValidateRunsTheExecutedPath:
         kernel = create_kernel(name, scale=SCALE, seed=0, backend=backend)
         kernel.validate()
         assert calls == [(3, backend)]
+
+
+class TestGWFAValidate:
+    @pytest.mark.parametrize("name", ["gwfa-lr", "gwfa-cr"])
+    def test_raising_engine_fails_validate(self, name, monkeypatch):
+        """A sample of at most 40 bases always fits the score limit, so
+        an ``AlignmentError`` means a broken engine, not a skipped sample."""
+        gwfa_module = importlib.import_module("repro.kernels.gwfa_kernel")
+
+        def broken(*args, **kwargs):
+            raise AlignmentError("gwfa wavefront died")
+
+        monkeypatch.setattr(gwfa_module, "gwfa_align", broken)
+        kernel = create_kernel(name, scale=SCALE, seed=0)
+        with pytest.raises(KernelError, match="wavefront died"):
+            kernel.validate()
 
 
 class TestDatasets:

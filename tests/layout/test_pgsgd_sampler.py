@@ -1,5 +1,6 @@
 """PGSGD's fused term sampler against the scalar sampling definition."""
 
+import math
 import random
 
 import numpy as np
@@ -82,3 +83,50 @@ def test_sampler_consumes_layout_rng(small_graph_pangenome):
     got = layout._sample_terms(500)
     assert [column.tolist() for column in got] == list(want)
     assert layout._rng.getstate() == rng.getstate()
+
+
+def reference_stress(layout, samples=200):
+    """Stress as the per-call definition computes it: a fresh
+    ``random.Random(1234)`` draw of node-start anchor pairs at every call,
+    summed in draw order."""
+    rng = random.Random(1234)
+    total = 0.0
+    count = 0
+    for _ in range(samples):
+        step_a, step_b = layout.index.sample_step_pair(rng)
+        anchor_a = layout.anchor_of(step_a, False)
+        anchor_b = layout.anchor_of(step_b, False)
+        if anchor_a == anchor_b:
+            continue
+        target = float(abs(layout.anchor_position(step_b, False)
+                           - layout.anchor_position(step_a, False))) or 1.0
+        ax, ay = layout.positions[anchor_a]
+        bx, by = layout.positions[anchor_b]
+        total += ((math.hypot(ax - bx, ay - by) - target) / target) ** 2
+        count += 1
+    return total / count if count else 0.0
+
+
+@pytest.mark.parametrize("backend", ["scalar", "vectorized"])
+@pytest.mark.parametrize("graph_name", ["mixed", "single-step", "pangenome"])
+def test_stress_history_equals_per_call_definition(graph_name, backend,
+                                                    request, monkeypatch):
+    graph = {
+        "mixed": mixed_graph,
+        "single-step": single_step_graph,
+        "pangenome": lambda: request.getfixturevalue(
+            "small_graph_pangenome").graph,
+    }[graph_name]()
+    params = PGSGDParams(seed=3, iterations=6, updates_per_iteration=300)
+    layout = PGSGDLayout(graph, params, backend=backend)
+    want = []
+    real = PGSGDLayout._sample_stress
+
+    def checked(self):
+        want.append(reference_stress(self))
+        return real(self)
+
+    monkeypatch.setattr(PGSGDLayout, "_sample_stress", checked)
+    history = layout.run().stress_history
+    assert len(history) == params.iterations + 1
+    assert history == want
