@@ -18,10 +18,15 @@ artifact.
 On top of the ingestion microbench, this bench times the *cold* 7-kernel
 characterization run (scale 0.25 under the topdown/cache/instmix
 studies, fresh artifact store) — the end-to-end number the kernel
-vectorization work moves.  Each run appends one entry to
-``BENCH_trace_throughput.json`` at the repo root (the committed
-trajectory the regression sentinel watches via ``repro obs check``) and
-fails only on a catastrophic regression against the best prior entry.
+vectorization work moves — and the simulated instrument alone: the
+probe-call streams of the ``characterize`` workload's 8 CPU kernels are
+recorded once, untimed, and only their replay into fresh machines is
+timed (each replay must reproduce the live run's summary).  Each run
+appends one entry, stamped with the git revision, the host and
+``kind: "measured"``, to ``BENCH_trace_throughput.json`` at the repo
+root (the committed trajectory the regression sentinel watches via
+``repro obs check``) and fails only on a catastrophic regression
+against the best prior entry.
 
 Runs under plain pytest (no pytest-benchmark needed) or standalone:
 ``PYTHONPATH=src python benchmarks/bench_trace_throughput.py``.
@@ -29,7 +34,9 @@ Runs under plain pytest (no pytest-benchmark needed) or standalone:
 
 from __future__ import annotations
 
+import copy
 import json
+import platform
 import tempfile
 import time
 from pathlib import Path
@@ -38,8 +45,9 @@ import numpy as np
 
 from repro import __version__
 from repro.data import ArtifactStore, use_store
-from repro.harness.runner import run_suite
-from repro.uarch.events import OpClass
+from repro.harness.runner import run_metadata, run_suite
+from repro.kernels import create_kernel
+from repro.uarch.events import MachineProbe, OpClass
 from repro.uarch.machine import TraceMachine
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -53,6 +61,18 @@ CHARACTERIZATION_KERNELS = ("gssw", "gbv", "gbwt", "gwfa-cr", "gwfa-lr",
                             "pgsgd", "tc")
 CHARACTERIZATION_STUDIES = ("topdown", "cache", "instmix")
 CHARACTERIZATION_SCALE = 0.25
+
+#: The ``characterize`` workload's CPU kernels (dataset seed 0, the
+#: characterization scale), whose recorded streams time the instrument.
+REPLAY_KERNELS = ("gbv", "gbwt", "gssw", "gwfa-cr", "gwfa-lr", "pgsgd",
+                  "ssw", "tc")
+
+#: Replays per kernel; the fastest counts.
+REPLAY_REPEATS = 3
+
+#: Every ``MachineProbe`` entry point a kernel may call.
+PROBE_METHODS = tuple(name for name, value in vars(MachineProbe).items()
+                      if callable(value) and not name.startswith("_"))
 
 #: Catastrophe-only ceiling: fail when the cold characterization run
 #: takes more than this multiple of the best committed entry.  Loose on
@@ -204,6 +224,65 @@ def run_characterization() -> dict:
     }
 
 
+class _StreamRecorder(MachineProbe):
+    """Forwards every probe call to a live machine and keeps a private
+    copy of it (arguments copied when the call is made)."""
+
+    def __init__(self, live: TraceMachine) -> None:
+        self.live = live
+        self.calls: list[tuple] = []
+
+
+def _recorded(method):
+    def call(self, *args, **kwargs):
+        self.calls.append(
+            (method, copy.deepcopy(args), copy.deepcopy(kwargs)))
+        getattr(self.live, method)(*args, **kwargs)
+    return call
+
+
+for _method in PROBE_METHODS:
+    setattr(_StreamRecorder, _method, _recorded(_method))
+
+
+def _replay(calls) -> tuple[float, object]:
+    """Seconds to replay *calls* into a fresh machine, and its summary."""
+    machine = TraceMachine()
+    t0 = time.perf_counter()
+    for method, args, kwargs in calls:
+        getattr(machine, method)(*args, **kwargs)
+    summary = machine.summary()
+    return time.perf_counter() - t0, summary
+
+
+def run_instrument_replay() -> dict:
+    """Time the simulated instrument alone on fixed input: record each
+    kernel's probe calls once (untimed), then replay them into fresh
+    machines; every replay must equal the live run's summary."""
+    kernel_seconds: dict[str, float] = {}
+    calls_total = 0
+    with tempfile.TemporaryDirectory(prefix="trace-replay-") as tmp:
+        with use_store(ArtifactStore(tmp)):
+            for name in REPLAY_KERNELS:
+                kernel = create_kernel(name, scale=CHARACTERIZATION_SCALE)
+                kernel.ensure_prepared()
+                recorder = _StreamRecorder(TraceMachine())
+                kernel.run(probe=recorder)
+                live = recorder.live.summary()
+                best = float("inf")
+                for _ in range(REPLAY_REPEATS):
+                    seconds, summary = _replay(recorder.calls)
+                    assert summary == live, f"{name}: replay != live trace"
+                    best = min(best, seconds)
+                kernel_seconds[name] = round(best, 4)
+                calls_total += len(recorder.calls)
+    return {
+        "instrument_replay_seconds": round(sum(kernel_seconds.values()), 4),
+        "instrument_replay_calls": calls_total,
+        "instrument_replay_kernel_seconds": kernel_seconds,
+    }
+
+
 def _load_trajectory() -> list[dict]:
     if not TRAJECTORY.exists():
         return []
@@ -245,12 +324,20 @@ def _emit(results: dict) -> None:
           f"(scale {CHARACTERIZATION_SCALE})")
     for kernel, seconds in results["kernel_seconds"].items():
         print(f"  {kernel:<10}{seconds:>8.3f}s")
+    print(f"instrument replay ({results['instrument_replay_calls']:,} "
+          f"recorded probe calls): "
+          f"{results['instrument_replay_seconds']:.3f}s")
+    for kernel, seconds in results["instrument_replay_kernel_seconds"].items():
+        print(f"  {kernel:<10}{seconds:>8.3f}s")
     print(f"saved {path}")
 
 
 def test_trace_throughput():
     results = run_experiment()
     results.update(run_characterization())
+    results.update(run_instrument_replay())
+    results.update(git_sha=run_metadata()["git_sha"],
+                   host=platform.machine(), kind="measured")
     _emit(results)
     assert results["overall_speedup"] >= MIN_SPEEDUP, (
         f"batched ingestion only {results['overall_speedup']:.1f}x faster; "

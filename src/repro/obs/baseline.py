@@ -108,6 +108,10 @@ TRACKED_SERIES: tuple[SeriesSpec, ...] = (
                "BENCH_trace_throughput.json",
                "characterization_wall_seconds", "lower",
                warn_ratio=1.3, regress_ratio=2.0),
+    SeriesSpec("trace_throughput.instrument_replay_seconds",
+               "BENCH_trace_throughput.json",
+               "instrument_replay_seconds", "lower",
+               warn_ratio=1.3, regress_ratio=2.0),
     SeriesSpec("scale_sweep.wall_growth_exponent", "BENCH_scale_sweep.json",
                "wall_growth_exponent", "lower",
                warn_ratio=1.2, regress_ratio=1.5),

@@ -18,7 +18,10 @@ from repro.errors import SimulationError
 from repro.uarch.cache import _stable_argsort
 
 #: Below this many outcomes the fixed numpy-dispatch cost of the
-#: vectorized gshare scan loses to the per-event loop.
+#: vectorized gshare scan loses to the per-event loop.  On prefixes of
+#: the characterization suite's recorded blocks the crossover is ~230;
+#: replaying the whole suite is flat from 128 to 512, and 9% (64) and
+#: 22% (32) slower below.
 BRANCH_BATCH_CUTOFF = 128
 
 
@@ -45,7 +48,9 @@ class GsharePredictor:
         self.history_bits = history_bits
         self.mask = (1 << table_bits) - 1
         self.history_mask = (1 << history_bits) - 1
-        self.table = [2] * (1 << table_bits)  # weakly taken
+        # 2-bit counters as bytes (weakly taken); the block path works
+        # on a numpy view of the same buffer.
+        self.table = bytearray([2]) * (1 << table_bits)
         self.history = 0
         self.stats = BranchStats()
 
@@ -84,9 +89,10 @@ class GsharePredictor:
         cell, each run of same-direction outcomes acts on the 2-bit
         counter as a saturating add whose effect (and misprediction
         count) is a closed form of the starting counter, so runs become
-        transition maps over the four counter states and the sequential
-        dependence collapses into a log-depth prefix composition of
-        those maps (a Hillis-Steele scan with ``np.take_along_axis``).
+        one-byte transition codes over the four counter states and the
+        sequential dependence collapses into a log-depth prefix
+        composition of those codes (a Hillis-Steele scan through a
+        256 x 256 composition table).
         """
         taken = np.asarray(outcomes, dtype=bool)
         n = taken.shape[0]
@@ -98,86 +104,99 @@ class GsharePredictor:
                                      taken.tolist()):
                 update(site, outcome)
             return
-        bits = taken.astype(np.int64)
         hb = self.history_bits
-        seed = np.empty(hb, dtype=np.int64)
+        # History before event i, for i = 0..n: the hb outcome bits
+        # before it (the pre-block history's bits first), packed by hb
+        # shifted ORs.
+        dtype = np.min_scalar_type(max(self.mask, self.history_mask))
+        ext = np.empty(hb + n, dtype=dtype)
+        ext[:hb] = [(self.history >> (hb - 1 - k)) & 1 for k in range(hb)]
+        ext[hb:] = taken
+        histories = np.zeros(n + 1, dtype=dtype)
         for k in range(hb):
-            seed[k] = (self.history >> (hb - 1 - k)) & 1
-        ext = np.concatenate([seed, bits])
-        windows = np.lib.stride_tricks.sliding_window_view(ext, hb)
-        powers = np.left_shift(1, np.arange(hb - 1, -1, -1, dtype=np.int64))
-        histories = windows @ powers  # n + 1 values; last = final history
-        indices = (sites ^ histories[:n]) & self.mask
+            histories |= ext[hb - 1 - k:hb + n - k] << k
+        sites = (np.asarray(sites) & self.mask).astype(dtype)
+        indices = (histories[:n] ^ sites) & self.mask
         order = _stable_argsort(indices, self.mask + 1)
         sorted_idx = indices[order]
-        sorted_out = bits[order]
+        sorted_taken = taken[order]
         change = np.empty(n, dtype=bool)
         change[0] = True
-        change[1:] = (sorted_idx[1:] != sorted_idx[:-1]) | (
-            sorted_out[1:] != sorted_out[:-1]
-        )
+        np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=change[1:])
+        first_of_cell = change.copy()
+        change[1:] |= sorted_taken[1:] != sorted_taken[:-1]
         run_starts = np.flatnonzero(change)
-        run_lengths = np.diff(np.append(run_starts, n))
         runs = run_starts.shape[0]
         cells = sorted_idx[run_starts]
-        run_taken = sorted_out[run_starts] != 0
-        # Each run's effect as a map over the four counter states: a
-        # taken run of length L is a saturating add of L, a not-taken
-        # run a saturating subtract, and its mispredictions are the
-        # steps spent on the wrong side of the 2-bit threshold.
-        states = np.arange(4, dtype=np.int64)
-        lengths = run_lengths[:, None]
-        transition = np.where(
-            run_taken[:, None],
-            np.minimum(3, states[None, :] + lengths),
-            np.maximum(0, states[None, :] - lengths),
-        )
-        mispredict_map = np.where(
-            run_taken[:, None],
-            np.minimum(lengths, np.maximum(0, 2 - states)[None, :]),
-            np.minimum(lengths, np.maximum(0, states - 1)[None, :]),
-        )
-        # Prefix-compose transitions within each cell's run group
-        # (log-depth scan); scan[r] then maps a cell's starting counter
-        # to its value after runs first..r.
-        scan = transition.copy()
+        first_of_cell = first_of_cell[run_starts]
+        # Each run as a transition code over the four counter states
+        # (_RUN_CODE); a run longer than 3 saturates like one of 3.
+        run_lengths = np.diff(run_starts, append=n)
+        kind = np.minimum(run_lengths, 3) - 1
+        kind += 3 * sorted_taken[run_starts]
+        scan = _RUN_CODE[kind]
+        # Prefix-compose codes within each cell's run group (log-depth
+        # Hillis-Steele scan); scan[r] then maps a cell's starting
+        # counter to its value after runs first..r.
+        cell_start = np.maximum.accumulate(
+            np.where(first_of_cell, np.arange(runs), 0))
+        rank = np.arange(runs) - cell_start
+        targets = np.flatnonzero(rank)
         shift = 1
-        while shift < runs:
-            same_cell = np.zeros(runs, dtype=bool)
-            same_cell[shift:] = cells[shift:] == cells[:-shift]
-            if not same_cell.any():
-                break
-            targets = np.flatnonzero(same_cell)
-            composed = np.take_along_axis(
-                scan[targets], scan[targets - shift], axis=1
-            )
-            scan[targets] = composed
+        while targets.shape[0]:
+            scan[targets] = _COMPOSE[scan[targets - shift], scan[targets]]
             shift *= 2
-        table_np = np.asarray(self.table, dtype=np.int64)
-        initial = table_np[cells]
-        first_of_cell = np.empty(runs, dtype=bool)
-        first_of_cell[0] = True
-        first_of_cell[1:] = cells[1:] != cells[:-1]
-        start_counter = np.empty(runs, dtype=np.int64)
-        start_counter[first_of_cell] = initial[first_of_cell]
-        continuing = np.flatnonzero(~first_of_cell)
-        start_counter[continuing] = scan[continuing - 1, initial[continuing]]
-        mispredictions = int(
-            mispredict_map[np.arange(runs), start_counter].sum()
-        )
+            targets = targets[rank[targets] >= shift]
+        table = np.frombuffer(self.table, dtype=np.uint8)
+        initial = table[cells]
+        start_counter = initial.copy()
+        continuing = np.flatnonzero(rank)
+        start_counter[continuing] = _apply(
+            scan[continuing - 1], initial[continuing])
+        mispredictions = int(_RUN_MISSES[kind, start_counter].sum())
         last_of_cell = np.empty(runs, dtype=bool)
         last_of_cell[-1] = True
         last_of_cell[:-1] = first_of_cell[1:]
         last_runs = np.flatnonzero(last_of_cell)
-        final_counters = scan[last_runs, initial[last_runs]]
-        table = self.table
-        for cell, value in zip(cells[last_runs].tolist(),
-                               final_counters.tolist()):
-            table[cell] = value
+        table[cells[last_runs]] = _apply(scan[last_runs], initial[last_runs])
         self.stats.branches += n
-        self.stats.taken += int(bits.sum())
+        self.stats.taken += int(np.count_nonzero(taken))
         self.stats.mispredictions += mispredictions
         self.history = int(histories[n])
+
+
+def _apply(codes: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Counter value after the transition *codes* from *states*."""
+    return (codes >> (2 * states)) & 3
+
+
+def _run_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed forms of same-direction runs on a 2-bit counter.
+
+    A transition over the four counter states packs into one byte, two
+    bits per starting state.  Run kind ``k = 3 * taken + min(L, 3) - 1``
+    (L = run length): a taken run is a saturating add of L, a not-taken
+    run a saturating subtract, and its mispredictions are the steps
+    spent on the wrong side of the 2-bit threshold -- at most 2, so a
+    run of 3 or more acts like one of 3.  ``compose[a, b]`` is the code
+    of "*a*, then *b*".
+    """
+    states = np.arange(4)
+    lengths = np.arange(1, 4)[:, None]
+    after = np.concatenate([np.maximum(0, states - lengths),
+                            np.minimum(3, states + lengths)])
+    misses = np.concatenate([np.minimum(lengths, np.maximum(0, states - 1)),
+                             np.minimum(lengths, np.maximum(0, 2 - states))])
+    run_code = (after << (2 * states)).sum(axis=1).astype(np.uint8)
+    codes = np.arange(256, dtype=np.uint8)
+    image = (codes[:, None] >> (2 * states).astype(np.uint8)) & 3
+    composed = image[codes[None, :, None], image[:, None, :]]
+    compose = (composed << (2 * states).astype(np.uint8)).sum(
+        axis=2, dtype=np.uint8)
+    return run_code, misses, compose
+
+
+_RUN_CODE, _RUN_MISSES, _COMPOSE = _run_tables()
 
 
 class BimodalPredictor:

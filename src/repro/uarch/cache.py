@@ -17,10 +17,14 @@ import numpy as np
 from repro.errors import SimulationError
 
 LINE_SIZE = 64
+_LINE_SHIFT = LINE_SIZE.bit_length() - 1
 
 #: Below this many lines the vectorized batch paths lose to the scalar
-#: loop on fixed numpy-dispatch overhead (measured crossover ~600 for
-#: the full hierarchy, lower per level); small blocks fall back.
+#: loop on fixed numpy-dispatch overhead; small blocks fall back.  On
+#: prefixes of the characterization suite's recorded batches (scale
+#: 0.25) the crossover is ~160 lines for the full hierarchy, and ~64
+#: (L1), under 64 (L2) and ~320 (L3) per level.  Replaying the whole
+#: suite is flat (within 4%) for 384-1024 and 96-256 respectively.
 BATCH_CUTOFF = 512
 LEVEL_BATCH_CUTOFF = 192
 
@@ -30,8 +34,9 @@ _WINDOW_CHUNK = 1 << 17
 
 #: Events a :class:`~repro.uarch.machine.TraceMachine` stream may hold
 #: pending before it replays them as one batch.  Each replay pays a
-#: fixed numpy-dispatch cost per cache level; on the characterization
-#: suite (scale 0.25) 16k beat 4k and 8k, and 32k-64k bought nothing more.
+#: fixed numpy-dispatch cost per cache level.  Replaying the
+#: characterization suite (scale 0.25) took the same time, within 4%,
+#: at every bound from 4k to 64k.
 REPLAY_BOUND = 16384
 
 
@@ -56,18 +61,16 @@ class CacheLevel:
         # Round the set count down to a power of two so index masking
         # works; odd capacities (e.g. 1.25 MB 20-way) approximate down.
         self.n_sets = _pow2_floor(n_sets)
-        self._sets = [dict() for _ in range(self.n_sets)]
+        self._sets = [{} for _ in range(self.n_sets)]
         # Batch overlay: sets last written by access_block keep their
         # state as fixed-shape arrays (row = set, resident lines in
-        # LRU-to-MRU order, `_overlay_len` entries valid).  A set whose
+        # LRU-to-MRU order, right-aligned, -1 before them).  A set whose
         # `_overlay_valid` byte is 1 is authoritative there, overriding
-        # its dict until the scalar path drains it.
+        # its dict until the scalar path drains it.  The batch path
+        # views the bytes through numpy per call, so a copy of the level
+        # cannot end up with flags and view apart.
         self._overlay_lines: np.ndarray | None = None
-        self._overlay_len: np.ndarray | None = None
         self._overlay_valid = bytearray(self.n_sets)
-        self._overlay_valid_np = np.frombuffer(
-            self._overlay_valid, dtype=np.uint8
-        )
 
     def access(self, line: int) -> bool:
         """Access cache line number *line*; returns True on hit."""
@@ -89,9 +92,9 @@ class CacheLevel:
 
     def _drain(self, index: int) -> None:
         """Materialize one overlay set back into its dict."""
-        count = int(self._overlay_len[index])
+        row = self._overlay_lines[index]
         entries = {}
-        for line in self._overlay_lines[index, :count].tolist():
+        for line in row[row >= 0].tolist():
             self._clock += 1  # LRU..MRU: ascending timestamps
             entries[line] = self._clock
         self._sets[index] = entries
@@ -105,10 +108,10 @@ class CacheLevel:
         """
         if self._overlay_lines is None:
             return
-        for index in np.flatnonzero(self._overlay_valid_np).tolist():
+        valid = np.frombuffer(self._overlay_valid, dtype=np.uint8)
+        for index in np.flatnonzero(valid).tolist():
             self._drain(index)
         self._overlay_lines = None
-        self._overlay_len = None
 
     def access_block(self, lines: np.ndarray) -> np.ndarray:
         """Access a whole line stream; returns a boolean hit array.
@@ -120,7 +123,8 @@ class CacheLevel:
         distinct lines of the same set intervened since its previous
         access.  The stream is grouped by set (sets are independent
         under LRU and stable grouping preserves each set's internal
-        order) and split in two:
+        order), an access to the line its set accessed last drops out
+        as a hit that changes nothing, and the rest split in two:
 
         * *Repeats* — the line occurred earlier in the batch.  Every
           pre-batch resident is older than the whole batch, so the
@@ -141,10 +145,8 @@ class CacheLevel:
         through behaviour) match exactly.
         """
         n = lines.shape[0]
-        hits = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hits
         if n < LEVEL_BATCH_CUTOFF:
+            hits = np.zeros(n, dtype=bool)
             access = self.access
             for position, line in enumerate(lines.tolist()):
                 hits[position] = access(line)
@@ -153,179 +155,161 @@ class CacheLevel:
         ways = self.ways
         order = _stable_argsort(lines & mask, self.n_sets)
         sorted_lines = lines[order]
+        # An access to the line its set accessed last is a hit that
+        # changes no recency order, so these per-set repeats drop out
+        # here (equal lines share a set, so they are adjacent).
+        fresh = np.empty(n, dtype=bool)
+        fresh[0] = True
+        np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=fresh[1:])
+        order = order[fresh]
+        sorted_lines = sorted_lines[fresh]
+        m = sorted_lines.shape[0]
         sorted_sets = sorted_lines & mask
-        boundary = np.empty(n, dtype=bool)
+        boundary = np.empty(m, dtype=bool)
         boundary[0] = True
         np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=boundary[1:])
         set_starts = np.flatnonzero(boundary)
         touched = sorted_sets[set_starts]
-        n_touched = touched.shape[0]
-        access_counts = np.diff(np.append(set_starts, n))
-        slot_of = np.repeat(np.arange(n_touched), access_counts)
-        # Previous in-batch occurrence of each line (positions in the
-        # set-sorted stream; same line => same set => same block).
-        by_value = _stable_argsort(sorted_lines, int(sorted_lines.max()) + 1)
+        # Group the stream by line: a stable sort by tag (the bits above
+        # the set index) keeps each line's positions ascending.
+        tags = sorted_lines >> (self.n_sets.bit_length() - 1)
+        by_value = _stable_argsort(tags, int(tags.max()) + 1)
         value_sorted = sorted_lines[by_value]
-        new_run = np.empty(n, dtype=bool)
+        new_run = np.empty(m, dtype=bool)
         new_run[0] = True
         np.not_equal(value_sorted[1:], value_sorted[:-1], out=new_run[1:])
-        prev = np.full(n, -1, dtype=np.int64)
-        continuing = np.flatnonzero(~new_run)
-        prev[by_value[continuing]] = by_value[continuing - 1]
-        first = prev == -1
-        firsts_cum = np.cumsum(first)
-        hit_sorted = np.zeros(n, dtype=bool)
-        # Repeats: hit iff the window (prev, i) holds < ways distinct
-        # batch lines.
-        repeat = ~first
-        window = np.arange(n) - prev - 1
-        firsts_in_window = np.where(
-            repeat, firsts_cum - firsts_cum[prev], 0
-        )
-        hit_sorted[repeat & (window < ways)] = True
-        ambiguous = np.flatnonzero(repeat & (window >= ways)
-                                   & (firsts_in_window < ways))
-        if ambiguous.shape[0]:
-            hit_sorted[ambiguous] = _window_distinct(prev, ambiguous) < ways
-        # First occurrences: membership in the resident stack.
-        seed_rows, seed_len = self._collect_seed_rows(touched)
-        column = np.arange(ways)
-        f_idx = np.flatnonzero(first)
-        f_slot = slot_of[f_idx]
-        match = (seed_rows[f_slot] == sorted_lines[f_idx][:, None]) & (
-            column[None, :] < seed_len[f_slot][:, None]
-        )
-        matched = np.flatnonzero(match.any(axis=1))
-        n_matched = matched.shape[0]
-        if n_matched:
-            seed_pos = np.argmax(match[matched], axis=1)
+        is_first = np.zeros(m, dtype=bool)
+        is_first[by_value[new_run]] = True
+        firsts = np.flatnonzero(is_first)
+        # Repeats, in line order: entry k > 0 repeats entry k - 1 unless
+        # it starts a new line, and ``gap - 1`` accesses of the set lie
+        # between them.  A repeat hits iff that window holds < ways
+        # distinct lines: its length bounds the count from above and
+        # the first occurrences inside it from below; the rest are
+        # counted.
+        gap = by_value[1:] - by_value[:-1]
+        repeat = ~new_run[1:]
+        hit_by_value = np.zeros(m, dtype=bool)
+        np.logical_and(repeat, gap <= ways, out=hit_by_value[1:])
+        far = np.flatnonzero(repeat & (gap > ways))
+        inside = (np.searchsorted(firsts, by_value[far + 1])
+                  - np.searchsorted(firsts, by_value[far], side="right"))
+        far = far[inside < ways]
+        if far.shape[0]:
+            prev = np.empty(m, dtype=np.int64)
+            prev[by_value[1:]] = by_value[:-1]
+            prev[firsts] = -1
+            hit_by_value[far + 1] = ~_windows_reach(
+                prev, by_value[far], gap[far] - 1, ways)
+        hits = np.ones(n, dtype=bool)
+        hits[order[by_value]] = hit_by_value
+        misses = m - int(np.count_nonzero(hit_by_value))
+        # First occurrences: membership in the resident stack.  A
+        # resident at depth ``d`` from MRU hits iff ``d`` plus the
+        # distinct batch lines already accessed in the set, minus those
+        # counted twice (newer residents re-accessed earlier in the
+        # batch: a per-set dominance count), stays below ``ways``.
+        stacks = self._resident_stacks(touched)
+        f_slot = np.searchsorted(set_starts, firsts, side="right") - 1
+        matched, column = np.divmod(np.flatnonzero(
+            stacks.take(f_slot, axis=0) == sorted_lines[firsts][:, None]
+        ), ways)
+        if matched.shape[0]:
             m_slot = f_slot[matched]
-            depth = seed_len[m_slot] - 1 - seed_pos
             # Distinct batch lines already accessed in the set = this
             # first occurrence's rank among the set's first occurrences.
-            firsts_before = firsts_cum - first
-            rank = (firsts_before[f_idx[matched]]
-                    - firsts_before[set_starts][m_slot])
-            # Residents re-accessed earlier in the batch are in both
-            # counts; subtract the per-set dominance count (newer
-            # resident AND earlier first occurrence).  At most `ways`
+            rank = matched - np.searchsorted(firsts, set_starts)[m_slot]
+            depth = ways - 1 - column
+            # The dominance count is at most the newer residents and at
+            # most the set's earlier matches, so it is needed only where
+            # those bounds leave the outcome open.  At most `ways`
             # residents match per set, so a padded (slots, ways) matrix
-            # of matched seed positions covers it.
-            m_boundary = np.empty(n_matched, dtype=bool)
-            m_boundary[0] = True
-            np.not_equal(m_slot[1:], m_slot[:-1], out=m_boundary[1:])
-            m_starts = np.flatnonzero(m_boundary)
-            m_counts = np.diff(np.append(m_starts, n_matched))
-            within = np.arange(n_matched) - np.repeat(m_starts, m_counts)
-            slot_matches = np.full((n_touched, ways), -1, dtype=np.int64)
-            slot_matches[m_slot, within] = seed_pos
-            overlap = (
-                (slot_matches[m_slot] > seed_pos[:, None])
-                & (column[None, :] < within[:, None])
-            ).sum(axis=1)
-            hit_sorted[f_idx[matched]] = (depth + rank - overlap) < ways
-        hits[order] = hit_sorted
-        hit_count = int(np.count_nonzero(hits))
-        self.hits += hit_count
-        self.misses += n - hit_count
-        # New overlay state per touched set: the batch-accessed lines,
-        # newest last, stacked on top of the untouched residents.  Runs
-        # in the value sort correspond one-to-one to distinct lines; the
-        # end of each run is the line's final access position.
-        run_end = np.empty(n, dtype=bool)
+            # of matched columns covers it.
+            within = np.arange(matched.shape[0]) - np.searchsorted(
+                m_slot, m_slot)
+            distinct = depth + rank
+            unsure = np.flatnonzero((distinct >= ways) & (
+                distinct - np.minimum(depth, within) < ways))
+            if unsure.shape[0]:
+                slot_matches = np.full(stacks.shape, -1, dtype=np.int64)
+                slot_matches[m_slot, within] = column
+                distinct[unsure] -= (
+                    (slot_matches[m_slot[unsure]] > column[unsure, None])
+                    & (np.arange(ways) < within[unsure, None])
+                ).sum(axis=1)
+            resident_hit = distinct < ways
+            hits[order[firsts[matched[resident_hit]]]] = True
+            misses -= int(np.count_nonzero(resident_hit))
+            # Re-accessed residents move up among the batch lines.
+            stacks[m_slot, column] = -1
+        self.hits += n - misses
+        self.misses += misses
+        # New stacks: the untouched residents, then each set's batch
+        # lines in order of their last access (positions ascend set by
+        # set); a set keeps the last `ways` of them.
+        run_end = np.empty(m, dtype=bool)
         run_end[-1] = True
         run_end[:-1] = new_run[1:]
-        line_values = value_sorted[new_run]
-        last_access = by_value[run_end]
-        line_slot = slot_of[last_access]
-        by_last = _stable_argsort(last_access, n)
-        grouped = by_last[_stable_argsort(line_slot[by_last], n_touched)]
-        runs = grouped.shape[0]
-        g_slot = line_slot[grouped]
-        g_boundary = np.empty(runs, dtype=bool)
-        g_boundary[0] = True
-        np.not_equal(g_slot[1:], g_slot[:-1], out=g_boundary[1:])
-        group_starts = np.flatnonzero(g_boundary)
-        group_counts = np.diff(np.append(group_starts, runs))
-        keep_counts = np.minimum(group_counts, ways)
-        # Untouched residents (valid, not re-accessed) fill what's left,
-        # newest first, preserving their relative order below the batch
-        # lines.  Left-pack them per row, then take each row's tail.
-        shared = np.zeros((n_touched, ways), dtype=bool)
-        if n_matched:
-            shared[m_slot, seed_pos] = True
-        untouched = (column[None, :] < seed_len[:, None]) & ~shared
-        cum_untouched = untouched.cumsum(axis=1, dtype=np.int8)
-        untouched_counts = cum_untouched[:, -1].astype(np.int64)
-        fill_counts = np.minimum(ways - keep_counts, untouched_counts)
-        total_counts = keep_counts + fill_counts
-        offsets = np.cumsum(total_counts) - total_counts
-        flat = np.empty(int(total_counts.sum()), dtype=np.int64)
-        if int(fill_counts.sum()):
-            # The last fill_counts[t] untouched entries of each row, in
-            # row-major order (LRU..MRU preserved).
-            take = untouched & (
-                cum_untouched
-                > (untouched_counts - fill_counts)[:, None].astype(np.int8)
-            )
-            flat[_segment_indices(offsets, fill_counts)] = seed_rows[take]
-        flat[_segment_indices(offsets + fill_counts, keep_counts)] = (
-            line_values[grouped][_segment_indices(
-                group_starts + group_counts - keep_counts, keep_counts
-            )]
-        )
-        self._store_overlay(touched, total_counts, flat)
+        is_last = np.zeros(m, dtype=bool)
+        is_last[by_value[run_end]] = True
+        last_positions = np.flatnonzero(is_last)
+        line_slot = np.searchsorted(set_starts, last_positions,
+                                    side="right") - 1
+        set_ends = np.append(np.searchsorted(last_positions, set_starts[1:]),
+                             last_positions.shape[0])
+        from_end = (set_ends[line_slot] - 1
+                    - np.arange(last_positions.shape[0]))
+        recent = np.flatnonzero(from_end < ways)
+        combined = np.concatenate(
+            [stacks, np.full(stacks.shape, -1, dtype=np.int64)], axis=1)
+        combined[line_slot[recent], 2 * ways - 1 - from_end[recent]] = (
+            sorted_lines[last_positions[recent]])
+        self._store_overlay(touched, combined)
         self._clock += n
         return hits
 
-    def _collect_seed_rows(
-        self, touched: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _resident_stacks(self, touched: np.ndarray) -> np.ndarray:
         """Resident stacks of the touched sets as a fixed-width matrix.
 
-        Row = one touched set's lines in LRU-to-MRU order, first
-        ``seed_len`` entries valid.  Sets live in the overlay are
-        gathered vectorized; the rest read their dicts.
+        Row = one touched set's lines in LRU-to-MRU order, right-aligned
+        with -1 before them.  Sets live in the overlay are gathered
+        vectorized; the rest read their dicts.
         """
-        n_touched = touched.shape[0]
-        seed_rows = np.zeros((n_touched, self.ways), dtype=np.int64)
-        seed_len = np.zeros(n_touched, dtype=np.int64)
+        stacks = np.full((touched.shape[0], self.ways), -1, dtype=np.int64)
         if self._overlay_lines is not None:
-            in_overlay = self._overlay_valid_np[touched] != 0
-            if in_overlay.any():
-                seed_rows[in_overlay] = self._overlay_lines[touched[in_overlay]]
-                seed_len[in_overlay] = self._overlay_len[touched[in_overlay]]
+            in_overlay = np.frombuffer(
+                self._overlay_valid, dtype=np.uint8)[touched] != 0
+            stacks[in_overlay] = self._overlay_lines[touched[in_overlay]]
             dict_slots = np.flatnonzero(~in_overlay)
         else:
-            dict_slots = np.arange(n_touched)
+            dict_slots = np.arange(touched.shape[0])
         sets = self._sets
         for slot, set_index in zip(dict_slots.tolist(),
                                    touched[dict_slots].tolist()):
             entries = sets[set_index]
             if entries:
                 resident = sorted(entries, key=entries.get)
-                seed_rows[slot, :len(resident)] = resident
-                seed_len[slot] = len(resident)
-        return seed_rows, seed_len
+                stacks[slot, self.ways - len(resident):] = resident
+        return stacks
 
-    def _store_overlay(
-        self,
-        new_sets: np.ndarray,
-        new_counts: np.ndarray,
-        new_lines: np.ndarray,
-    ) -> None:
-        """Scatter a batch's per-set state into the overlay arrays."""
+    def _store_overlay(self, sets: np.ndarray, combined: np.ndarray) -> None:
+        """Keep the last ``ways`` lines (entries other than -1) of each
+        row of *combined* as the overlay stack of the matching set."""
         if self._overlay_lines is None:
-            self._overlay_lines = np.zeros(
-                (self.n_sets, self.ways), dtype=np.int64
+            self._overlay_lines = np.full(
+                (self.n_sets, self.ways), -1, dtype=np.int64
             )
-            self._overlay_len = np.zeros(self.n_sets, dtype=np.int64)
-        row = np.repeat(new_sets, new_counts)
-        column = (np.arange(new_lines.shape[0])
-                  - np.repeat(np.cumsum(new_counts) - new_counts, new_counts))
-        self._overlay_lines[row, column] = new_lines
-        self._overlay_len[new_sets] = new_counts
-        self._overlay_valid_np[new_sets] = 1
+        valid = combined >= 0
+        # Valid entries at or after each column; the kept ones shift
+        # right to column ways - that count.
+        from_right = valid[:, ::-1].cumsum(axis=1, dtype=np.int16)[:, ::-1]
+        keep = np.flatnonzero(valid & (from_right <= self.ways))
+        rows = keep // combined.shape[1]
+        stacks = np.full((sets.shape[0], self.ways), -1, dtype=np.int64)
+        stacks[rows, self.ways - from_right.ravel()[keep]] = (
+            combined.ravel()[keep])
+        self._overlay_lines[sets] = stacks
+        np.frombuffer(self._overlay_valid, dtype=np.uint8)[sets] = 1
 
     @property
     def accesses(self) -> int:
@@ -404,9 +388,9 @@ class CacheHierarchy:
         addresses = np.asarray(addresses, dtype=np.int64)
         n = addresses.shape[0]
         if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        first = addresses // LINE_SIZE
-        last = (addresses + np.maximum(size, 1) - 1) // LINE_SIZE
+            return np.zeros(0, dtype=np.int8)
+        first = addresses >> _LINE_SHIFT
+        last = (addresses + (np.maximum(size, 1) - 1)) >> _LINE_SHIFT
         if np.array_equal(first, last):
             # Common case: every access fits in one line.
             return self._access_lines_block(first)
@@ -431,32 +415,24 @@ class CacheHierarchy:
         if n < BATCH_CUTOFF:
             return np.fromiter(
                 map(self._access_line, lines.tolist()),
-                dtype=np.int64, count=n,
+                dtype=np.int8, count=n,
             )
         keep = np.empty(n, dtype=bool)
         keep[0] = True
         np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        residual = lines[keep]
-        duplicates = n - residual.shape[0]
-        if duplicates:
-            self.l1.hits += duplicates
-        l1_hits = self.l1.access_block(residual)
-        residual_levels = np.ones(residual.shape[0], dtype=np.int64)
-        l1_miss = residual[~l1_hits]
-        if l1_miss.shape[0]:
-            l2_hits = self.l2.access_block(l1_miss)
-            miss_levels = np.full(l1_miss.shape[0], 2, dtype=np.int64)
-            l2_miss = l1_miss[~l2_hits]
-            if l2_miss.shape[0]:
-                l3_hits = self.l3.access_block(l2_miss)
-                deep = np.where(l3_hits, 3, 4)
-                self.memory_accesses += int(np.count_nonzero(~l3_hits))
-                miss_levels[~l2_hits] = deep
-            residual_levels[~l1_hits] = miss_levels
-        if not duplicates:
-            return residual_levels
-        levels = np.ones(n, dtype=np.int64)
-        levels[keep] = residual_levels
+        residual = np.flatnonzero(keep)
+        self.l1.hits += n - residual.shape[0]
+        levels = np.ones(n, dtype=np.int8)
+        # Positions (in the line stream) missing L1, then L2, then L3.
+        miss = residual[~self.l1.access_block(lines[residual])]
+        for depth, level in ((2, self.l2), (3, self.l3)):
+            if not miss.shape[0]:
+                break
+            levels[miss] = depth
+            miss = miss[~level.access_block(lines[miss])]
+        else:
+            levels[miss] = 4
+            self.memory_accesses += miss.shape[0]
         return levels
 
     def _access_line(self, line: int) -> int:
@@ -484,43 +460,59 @@ class CacheHierarchy:
 def _stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of non-negative integers known to be < *bound*.
 
-    Small keys take one or two uint16 radix passes — several times
-    faster than a generic 64-bit sort on the block sizes the batch
-    paths see.
+    Each key is packed above its own position, so a plain (unstable,
+    SIMD) sort of the packed words orders equal keys by position and the
+    low bits read back the permutation.  Keys and positions fitting 32
+    bits sort as uint32, about twice as fast as a 64-bit or radix
+    argsort on the block sizes the batch paths see.
     """
-    if bound <= 1 << 16:
-        return np.argsort(values.astype(np.uint16), kind="stable")
-    if bound <= 1 << 32:
-        inner = np.argsort((values & 0xFFFF).astype(np.uint16), kind="stable")
-        high = (values[inner] >> 16).astype(np.uint16)
-        return inner[np.argsort(high, kind="stable")]
-    return np.argsort(values, kind="stable")
+    n = values.shape[0]
+    shift = max(n - 1, 1).bit_length()
+    low = (1 << shift) - 1
+    if (bound - 1) << shift <= 0xFFFFFFFF:
+        packed = values.astype(np.uint32)
+    elif (bound - 1) << shift <= 0x7FFFFFFFFFFFFFFF:
+        packed = values.astype(np.int64)
+    else:
+        return np.argsort(values, kind="stable")
+    packed <<= shift
+    packed |= np.arange(n, dtype=packed.dtype)
+    packed.sort()
+    packed &= low
+    return packed.astype(np.intp, copy=False)
 
 
-def _window_distinct(prev: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Distinct lines strictly between each repeat in *positions* and its
-    previous occurrence ``prev[i]``.
+def _windows_reach(
+    prev: np.ndarray, before: np.ndarray, lengths: np.ndarray, ways: int
+) -> np.ndarray:
+    """Whether each stream window ``(before[k], before[k] + lengths[k] + 1)``
+    holds at least *ways* distinct lines.
 
     A window position starts a new distinct line iff its own previous
-    occurrence lies at or before the window's start, so each count is
-    one vectorized compare over the window.  Windows are gathered in
-    chunks of about :data:`_WINDOW_CHUNK` positions to bound memory.
+    occurrence ``prev`` lies at or before the window's start.  Windows
+    are scanned from their start in rounds of doubling width (from
+    ``2 * ways`` positions, at most about :data:`_WINDOW_CHUNK` per
+    round); a window leaves once it has counted *ways* lines or is
+    exhausted, so one of many distinct lines stops in the first round.
     """
-    before = prev[positions]
-    lengths = positions - before - 1
-    ends = np.cumsum(lengths)
-    counts = np.empty(positions.shape[0], dtype=np.int64)
-    lo = 0
-    while lo < positions.shape[0]:
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - lengths[lo] + _WINDOW_CHUNK, side="right")))
-        span = lengths[lo:hi]
-        window = prev[_segment_indices(before[lo:hi] + 1, span)]
-        fresh = window <= np.repeat(before[lo:hi], span)
-        counts[lo:hi] = np.add.reduceat(
-            fresh, np.cumsum(span) - span, dtype=np.int64)
-        lo = hi
-    return counts
+    reached = np.zeros(before.shape[0], dtype=bool)
+    live = np.arange(before.shape[0])
+    start = before + 1
+    end = start + lengths
+    need = np.full(before.shape[0], ways, dtype=np.int64)
+    width = ways
+    while live.shape[0]:
+        width = max(2 * ways, min(2 * width, _WINDOW_CHUNK // live.shape[0]))
+        span = np.minimum(width, end - start)
+        fresh = prev[_segment_indices(start, span)] <= np.repeat(before, span)
+        need -= np.add.reduceat(fresh, np.cumsum(span) - span, dtype=np.int64)
+        start += span
+        done = need <= 0
+        reached[live[done]] = True
+        more = ~done & (start < end)
+        live, before, start, end, need = (
+            live[more], before[more], start[more], end[more], need[more])
+    return reached
 
 
 def _segment_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -37,6 +37,11 @@ class OpClass(Enum):
     REGISTER = "register"            # register-to-register moves
     NOP = "nop"
 
+    # Members are singletons, so identity hashing is exact; it keeps the
+    # per-event ``op_counts[op_class]`` updates off Enum's Python-level
+    # ``__hash__``.
+    __hash__ = object.__hash__
+
 
 class MachineProbe:
     """No-op probe; the base class documents the event interface.

@@ -80,6 +80,43 @@ class TestGshare:
         assert block.table == scalar.table
 
 
+    @given(
+        runs=st.lists(st.tuples(st.booleans(),
+                                st.integers(min_value=1, max_value=24)),
+                      min_size=1, max_size=5),
+        n=st.integers(min_value=BRANCH_BATCH_CUTOFF,
+                      max_value=4 * BRANCH_BATCH_CUTOFF),
+        n_sites=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=999),
+        warmup=st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_saturating_runs_match_scalar(self, runs, n, n_sites, seed,
+                                         warmup):
+        """A repeating run-length pattern from a trained state.  Runs of 3
+        or more saturate a counter.  A run longer than the history
+        fills it with one direction, so with one site every later step
+        of the run and the step after it share a cell: each period adds
+        runs of both directions to that cell."""
+        rng = np.random.default_rng(seed)
+        pattern = [taken for taken, length in runs for _ in range(length)]
+        outcomes = np.resize(np.array(pattern, dtype=bool), n)
+        sites = rng.integers(0, 1 << 14, size=n_sites)[
+            np.arange(n) % n_sites]
+        training = list(zip(rng.integers(64, size=warmup).tolist(),
+                            (rng.random(warmup) < 0.7).tolist()))
+        scalar, block = GsharePredictor(), GsharePredictor()
+        for predictor in (scalar, block):
+            for site, taken in training:
+                predictor.predict_and_update(site, taken)
+        for site, taken in zip(sites.tolist(), outcomes.tolist()):
+            scalar.predict_and_update(site, taken)
+        block.predict_and_update_block(sites, outcomes)
+        assert list(block.table) == list(scalar.table)
+        assert block.history == scalar.history
+        assert block.stats == scalar.stats
+
+
 class TestBimodal:
     def test_biased_stream_predicted(self):
         predictor = BimodalPredictor()

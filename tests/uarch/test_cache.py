@@ -1,9 +1,15 @@
 """Cache hierarchy simulator."""
 
+import copy
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.uarch.cache import (
+    LEVEL_BATCH_CUTOFF,
     LINE_SIZE,
     MACHINE_A,
     MACHINE_B,
@@ -53,6 +59,82 @@ class TestCacheLevel:
         assert hits.tolist() == expected
         assert batched.hits == scalar.hits
         assert batched.misses == scalar.misses
+
+
+def _line_block(rng, length, pool, base):
+    """A line stream over *pool* lines from *base* mixing the shapes the
+    batch path handles apart: runs of one line (per-set repeats),
+    cycles through one set's lines (reuse windows at and around the
+    associativity) and random reuse (evictions)."""
+    lines = []
+    while len(lines) < length:
+        shape = rng.integers(3)
+        if shape == 0:
+            lines += [int(rng.integers(pool))] * int(rng.integers(2, 6))
+        elif shape == 1:
+            first = int(rng.integers(pool))
+            cycle = [(first + 4 * k) % pool
+                     for k in range(int(rng.integers(2, 7)))]
+            lines += cycle * int(rng.integers(2, 5))
+        else:
+            lines += rng.integers(pool, size=int(rng.integers(1, 20))).tolist()
+    return base + np.array(lines[:length], dtype=np.int64)
+
+
+def _resident_order(level):
+    level.materialize()
+    return [sorted(entries, key=entries.get) for entries in level._sets]
+
+
+class TestAccessBlockDifferential:
+    @given(
+        ways=st.integers(min_value=2, max_value=4),
+        pool=st.integers(min_value=8, max_value=64),
+        base=st.sampled_from([0, 1 << 20, 1 << 40]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rounds=st.lists(
+            st.tuples(st.integers(min_value=LEVEL_BATCH_CUTOFF,
+                                  max_value=3 * LEVEL_BATCH_CUTOFF),
+                      st.integers(min_value=0, max_value=12)),
+            min_size=1, max_size=4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batches_match_per_line_access(self, ways, pool, base, seed,
+                                           rounds):
+        """Vectorized blocks on a 4-set cache, with scalar accesses in
+        between, match the per-line path access for access and leave
+        every set's residents in the same recency order."""
+        rng = np.random.default_rng(seed)
+        batched = CacheLevel("t", size_bytes=4 * ways * LINE_SIZE, ways=ways)
+        scalar = CacheLevel("t", size_bytes=4 * ways * LINE_SIZE, ways=ways)
+        assert batched.n_sets == 4
+        for length, between in rounds:
+            lines = _line_block(rng, length, pool, base)
+            hits = batched.access_block(lines)
+            assert hits.tolist() == [scalar.access(line)
+                                     for line in lines.tolist()]
+            for line in (base + rng.integers(pool, size=between)).tolist():
+                assert batched.access(line) == scalar.access(line)
+        assert (batched.hits, batched.misses) == (scalar.hits, scalar.misses)
+        assert _resident_order(batched) == _resident_order(scalar)
+
+    def test_copied_level_keeps_its_overlay(self):
+        """A copy taken after a batch hands sets between its own overlay
+        and dicts: line 4 leaves set 0 of the copy through a scalar
+        access, so the next batch must miss it."""
+        filler = np.resize(np.array([1, 2, 3, 5, 6, 7], dtype=np.int64),
+                           LEVEL_BATCH_CUTOFF)
+        level = CacheLevel("t", size_bytes=8 * LINE_SIZE, ways=2)
+        level.access_block(np.append(filler, [4, 8]))
+        copied = copy.deepcopy(level)
+        scalar = CacheLevel("t", size_bytes=8 * LINE_SIZE, ways=2)
+        for line in filler.tolist() + [4, 8, 12]:
+            scalar.access(line)
+        copied.access(12)
+        lines = np.append([4], filler)
+        assert copied.access_block(lines).tolist() == [
+            scalar.access(line) for line in lines.tolist()]
+        assert _resident_order(copied) == _resident_order(scalar)
 
 
 class TestHierarchy:
