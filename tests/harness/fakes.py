@@ -89,4 +89,14 @@ class DieKernel(_FakeKernel):
         os._exit(3)
 
 
-FAKES = (OkKernel, SpanSpamKernel, CrashKernel, HangKernel, DieKernel)
+class BadOracleKernel(OkKernel):
+    """Runs fine, but its oracle self-check raises."""
+
+    name = "fake-badoracle"
+
+    def validate(self) -> None:
+        raise AssertionError("oracle mismatch")
+
+
+FAKES = (OkKernel, SpanSpamKernel, CrashKernel, HangKernel, DieKernel,
+         BadOracleKernel)

@@ -80,6 +80,15 @@ class TestCli:
         assert main(["validate", "--kernels", "gbwt", "--scale", "0.25"]) == 0
         assert "ok" in capsys.readouterr().out
 
+    def test_validate_fails_when_an_oracle_raises(self, capsys,
+                                                  fake_kernels):
+        code = main(["validate", "--kernels", "fake-ok", "fake-badoracle"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "fake-ok" in out and "ok" in out
+        assert "fake-badoracle" in out and "FAILED" in out
+        assert "oracle mismatch" in out
+
     def test_bad_study_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--studies", "vtune"])
