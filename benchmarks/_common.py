@@ -55,7 +55,7 @@ def engine_reports(kernels, studies, scenario: str = BENCH_SCENARIO):
     return run_suite(
         tuple(kernels), studies=tuple(studies),
         scale=BENCH_SCALE, seed=BENCH_SEED,
-        reuse=True, store=STORE, scenario=scenario,
+        store=STORE, scenario=scenario,
     )
 
 

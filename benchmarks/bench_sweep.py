@@ -62,11 +62,11 @@ def run_experiment() -> dict:
         store = ResultStore(Path(tmp))
 
         cold_start = time.monotonic()
-        cold = run_sweep(plan, reuse=True, store=store)
+        cold = run_sweep(plan, store=store)
         cold_wall = time.monotonic() - cold_start
 
         warm_start = time.monotonic()
-        warm = run_sweep(plan, reuse=True, store=store)
+        warm = run_sweep(plan, store=store)
         warm_wall = time.monotonic() - warm_start
 
     cold_origins = cold.origin_counts()

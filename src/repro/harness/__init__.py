@@ -4,10 +4,9 @@ from repro.harness.executor import (
     ExecutionPlan,
     Job,
     compile_plan,
-    execute_plan,
+    execute_jobs,
 )
 from repro.harness.runner import (
-    ALL_STUDIES,
     SCHEMA_VERSION,
     KernelReport,
     load_reports,
@@ -25,9 +24,9 @@ from repro.harness.studies import (
 )
 
 __all__ = [
-    "ALL_STUDIES", "SCHEMA_VERSION", "KernelReport", "load_reports",
+    "SCHEMA_VERSION", "KernelReport", "load_reports",
     "run_kernel_studies", "run_suite", "save_reports",
-    "ExecutionPlan", "Job", "compile_plan", "execute_plan",
+    "ExecutionPlan", "Job", "compile_plan", "execute_jobs",
     "ResultStore", "job_digest",
     "STUDY_REGISTRY", "Study", "create_study", "register_study",
     "study_names",

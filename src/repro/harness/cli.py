@@ -57,6 +57,7 @@ from repro.kernels import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
+from repro.obs.exposition import parse_series
 from repro.obs.spans import (
     Tracer,
     merge_records,
@@ -76,7 +77,7 @@ def _name_list(value: str) -> list[str]:
 
 def _study_list(value: str) -> list[str]:
     """One ``--studies`` token: a study name or a comma-joined list."""
-    studies = [item for item in value.split(",") if item]
+    studies = _name_list(value)
     known = study_names()
     for study in studies:
         if study not in known:
@@ -86,16 +87,132 @@ def _study_list(value: str) -> list[str]:
     return studies
 
 
+def _flat(tokens) -> list[str]:
+    """Flatten a ``nargs="+"`` list of comma-split tokens (``None``: [])."""
+    return [item for token in tokens or () for item in token]
+
+
+def _shared_flags() -> dict[str, dict]:
+    """The flags several subcommands take, defined once: ``--<name>``
+    (underscores become dashes) -> ``add_argument`` keywords.  Built per
+    parser so ``--scenario`` sees scenarios registered since import."""
+    return {
+        "scale": dict(type=float, default=1.0,
+                      help="dataset scale factor (default %(default)s)"),
+        "seed": dict(type=int, default=0,
+                     help="dataset seed (default %(default)s)"),
+        "scenario": dict(
+            choices=scenario_names(), default="default",
+            help="named dataset scenario every kernel prepares on "
+                 "(default: %(default)s)",
+        ),
+        "machine": dict(
+            choices=sorted(MACHINES), default="B",
+            help="cache-hierarchy configuration for the trace studies "
+                 "(paper Table 5; default: B, the kernel-analysis machine)",
+        ),
+        "studies": dict(
+            nargs="+", default=[["timing"]], type=_study_list,
+            metavar="STUDY",
+            help="studies to run, space- or comma-separated "
+                 f"(default: timing; choices: {', '.join(study_names())})",
+        ),
+        "backend": dict(
+            choices=BACKENDS, default=None,
+            help="execution backend for every kernel (default: each "
+                 "kernel's own default; a kernel that does not implement "
+                 "the backend fails at compile time); joins the job "
+                 "digest, so two backends never share a cache entry",
+        ),
+        "jobs": dict(
+            type=int, default=1, metavar="N",
+            help="worker processes (default 1: serial, deterministic; N>1 "
+                 "runs kernels in parallel with per-kernel failure "
+                 "isolation)",
+        ),
+        "timeout": dict(
+            type=float, default=None, metavar="SECONDS",
+            help="per-job time limit (enforced only in worker processes: "
+                 "--jobs > 1 or --isolation process)",
+        ),
+        "reuse": dict(
+            action="store_true",
+            help="serve cache hits from benchmarks/results/cache/ "
+                 "($REPRO_CACHE_DIR) and write fresh reports back",
+        ),
+        "trace_out": dict(
+            default=None, metavar="PATH",
+            help="trace the run and write a Chrome trace-event JSON file "
+                 "(open in https://ui.perfetto.dev)",
+        ),
+        "workers": dict(type=int, default=2, metavar="N",
+                        help="service worker threads (default %(default)s)"),
+        "queue_limit": dict(
+            type=int, default=64, metavar="N",
+            help="admission-control high-water mark (default %(default)s)",
+        ),
+        "isolation": dict(
+            choices=("process", "inline"), default="process",
+            help="run each execution in an executor worker process "
+                 "(default; spans stitch across processes) or inline on "
+                 "the service worker thread",
+        ),
+        "no_reuse": dict(
+            action="store_true",
+            help="skip the shared result cache (still coalesces in-flight "
+                 "duplicates)",
+        ),
+        "metrics_out": dict(default=None, metavar="PATH",
+                            help="write the service metrics dump as JSON"),
+        "telemetry_port": dict(
+            type=int, default=None, metavar="PORT",
+            help="expose /metrics,/healthz,/readyz on 127.0.0.1:PORT while "
+                 "the service runs (0 = ephemeral, printed; default: "
+                 "%(default)s, None = no endpoint)",
+        ),
+        "manifest": dict(
+            default="matrix", metavar="NAME_OR_PATH",
+            help="manifest name under benchmarks/manifests/ or a TOML path "
+                 "(default: %(default)s)",
+        ),
+        "dir": dict(
+            default="benchmarks/results/sweep", metavar="DIR",
+            help="directory holding sweep.json and the tables aggregated "
+                 "from it (default: %(default)s)",
+        ),
+        "all": dict(action="store_true",
+                    help="remove every entry, current ones included"),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PangenomicsBench reproduction: run and characterize kernels",
     )
+    table = _shared_flags()
+
+    def command(group, name: str, handler, *flags: str, **kwargs):
+        """Add subcommand *name* run by *handler*, taking the named
+        shared flags through a fresh parent parser (fresh, so its
+        ``set_defaults`` cannot leak into another subcommand)."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            parent.add_argument("--" + flag.replace("_", "-"), **table[flag])
+        sub = group.add_parser(name, parents=[parent], **kwargs)
+        sub.set_defaults(handler=handler)
+        return sub
+
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="list the registered kernels")
+    command(commands, "list", _command_list,
+            help="list the registered kernels")
 
-    run = commands.add_parser("run", help="run kernels under selected studies")
+    run = command(
+        commands, "run", _command_run, "studies", "scale", "seed",
+        "scenario", "backend", "machine", "jobs", "timeout", "reuse",
+        "trace_out", help="run kernels under selected studies",
+    )
     run.add_argument(
         "kernels", nargs="*", metavar="KERNEL",
         help="kernel names (default: the eight suite kernels)",
@@ -105,45 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KERNEL", help="kernel names (same as the positionals)",
     )
     run.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY",
-        help="studies to run, space- or comma-separated "
-             f"(default: timing; choices: {', '.join(study_names())})",
-    )
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="dataset scale factor (default 1.0)")
-    run.add_argument("--seed", type=int, default=0, help="dataset seed")
-    run.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-        help="named dataset scenario every kernel prepares on "
-             "(default: default)",
-    )
-    run.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="execution backend to run the kernels on (default: each "
-             "kernel's own default; a kernel that does not implement "
-             "the backend fails at compile time)",
-    )
-    run.add_argument(
-        "--machine", choices=sorted(MACHINES), default="B",
-        help="cache-hierarchy configuration for the trace studies "
-             "(paper Table 5; default: B, the kernel-analysis machine)",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1: serial, deterministic; N>1 "
-             "runs kernels in parallel with per-kernel failure isolation)",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-kernel time limit (enforced when --jobs > 1)",
-    )
-    run.add_argument(
-        "--reuse", action="store_true",
-        help="serve cache hits from benchmarks/results/cache/ and write "
-             "fresh reports back",
-    )
-    run.add_argument(
         "--stream", action="store_true",
         help="bounded-memory mode: derive kernel inputs in chunks "
              "through the artifact store instead of materializing them "
@@ -151,79 +229,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--out", default=None,
                      help="write JSON reports to this path")
-    run.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="trace the run and write a Chrome trace-event JSON file "
-             "(open in https://ui.perfetto.dev)",
-    )
 
-    tracecmd = commands.add_parser(
-        "trace",
+    tracecmd = command(
+        commands, "trace", _command_trace, "scale", "seed", "scenario",
+        "machine", "trace_out",
         help="trace one kernel: span tree, per-phase top-down, Chrome trace",
     )
     tracecmd.add_argument("kernel", metavar="KERNEL", help="kernel to trace")
-    tracecmd.add_argument("--scale", type=float, default=1.0,
-                          help="dataset scale factor (default 1.0)")
-    tracecmd.add_argument("--seed", type=int, default=0, help="dataset seed")
-    tracecmd.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-        help="named dataset scenario (default: default)",
-    )
-    tracecmd.add_argument(
-        "--machine", choices=sorted(MACHINES), default="B",
-        help="cache-hierarchy configuration (default B)",
-    )
-    tracecmd.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="also write the spans as a Chrome trace-event JSON file",
-    )
 
-    validate = commands.add_parser(
-        "validate", help="run every kernel's oracle self-check"
+    validate = command(
+        commands, "validate", _command_validate, "scale", "seed",
+        "scenario", help="run every kernel's oracle self-check",
     )
-    validate.add_argument("--kernels", nargs="+", default=None)
-    validate.add_argument("--scale", type=float, default=0.5)
-    validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-        help="named dataset scenario (default: default)",
-    )
+    validate.set_defaults(scale=0.5)
+    validate.add_argument("--kernels", nargs="+", default=None,
+                          metavar="KERNEL",
+                          help="kernels to check (default: all registered)")
 
     data = commands.add_parser(
         "data", help="inspect and manage the shared dataset store"
     )
     data_commands = data.add_subparsers(dest="data_command", required=True)
-    data_list = data_commands.add_parser(
-        "list", help="list corpora in the artifact store"
-    )
-    del data_list  # no options yet
-    data_build = data_commands.add_parser(
-        "build", help="pre-build (or warm-load) scenario corpora"
+    command(data_commands, "list", _command_data_list,
+            help="list corpora in the artifact store")
+    data_build = command(
+        data_commands, "build", _command_data_build, "scale", "seed",
+        help="pre-build (or warm-load) scenario corpora",
     )
     data_build.add_argument(
         "--scenario", nargs="+", choices=scenario_names(),
         default=["default"], metavar="SCENARIO",
         help="scenarios to build (default: default)",
     )
-    data_build.add_argument("--scale", type=float, default=1.0,
-                            help="dataset scale factor (default 1.0)")
-    data_build.add_argument("--seed", type=int, default=0,
-                            help="dataset seed")
-    data_gc = data_commands.add_parser(
-        "gc", help="remove stale artifacts (different generator version)"
-    )
-    data_gc.add_argument(
-        "--all", action="store_true",
-        help="remove every artifact, current ones included",
-    )
+    command(data_commands, "gc", _command_data_gc, "all",
+            help="remove stale artifacts (different generator version)")
 
     serve = commands.add_parser(
         "serve",
         help="benchmark-as-a-service: submit requests / run a load replay",
     )
     serve_commands = serve.add_subparsers(dest="serve_command", required=True)
-    submit = serve_commands.add_parser(
-        "submit",
+    submit = command(
+        serve_commands, "submit", _command_serve_submit, "studies", "scale",
+        "seed", "scenario", "backend", "machine", "workers", "queue_limit",
+        "timeout", "isolation", "no_reuse", "metrics_out", "telemetry_port",
         help="start a service, submit requests (duplicates coalesce), "
              "wait, and print per-request origins",
     )
@@ -231,123 +280,44 @@ def build_parser() -> argparse.ArgumentParser:
         "kernels", nargs="+", metavar="KERNEL",
         help="one request per name; repeat a name to submit duplicates",
     )
-    submit.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY", help="studies per request (default: timing)",
-    )
-    submit.add_argument("--scale", type=float, default=1.0)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-    )
-    submit.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="execution backend for every request (default: each "
-             "kernel's own default); joins the job digest, so the same "
-             "kernel on two backends neither coalesces nor shares a "
-             "cache entry",
-    )
-    submit.add_argument("--machine", choices=sorted(MACHINES), default="B")
-    submit.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="service worker threads (default 2)",
-    )
-    submit.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="admission-control high-water mark (default 64)",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job limit (enforced under process isolation)",
-    )
-    submit.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-        help="run each execution in an executor worker process "
-             "(default) or inline on the service worker thread",
-    )
-    submit.add_argument(
-        "--no-reuse", action="store_true",
-        help="skip the shared result cache (still coalesces in-flight "
-             "duplicates)",
-    )
-    submit.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the service metrics dump as JSON",
-    )
-    submit.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
-        help="expose /metrics,/healthz,/readyz on 127.0.0.1:PORT for "
-             "the duration of the run (0 = ephemeral)",
-    )
 
-    serve_bench = serve_commands.add_parser(
-        "bench",
+    serve_bench = command(
+        serve_commands, "bench", _command_serve_bench, "seed", "scale",
+        "workers", "queue_limit", "isolation", "metrics_out",
+        "telemetry_port",
         help="replay a seeded mixed request trace and report p50/p99 "
-             "latency, hit rate and coalesce rate",
+             "latency, hit rate and coalesce rate (the small default "
+             "queue limit exercises backpressure)",
     )
-    serve_bench.add_argument("--requests", type=int, default=500)
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument("--scale", type=float, default=0.05)
-    serve_bench.add_argument("--workers", type=int, default=4)
-    serve_bench.add_argument(
-        "--queue-limit", type=int, default=32,
-        help="admission-control high-water mark (default 32; small "
-             "enough that backpressure is exercised)",
-    )
-    serve_bench.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-    )
+    serve_bench.set_defaults(scale=0.05, workers=4, queue_limit=32)
+    serve_bench.add_argument("--requests", type=int, default=500,
+                             help="trace length (default %(default)s)")
     serve_bench.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-store root for the replay (default: a fresh "
              "temporary directory, so rates are measured from cold)",
     )
-    serve_bench.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the service metrics dump as JSON",
-    )
-    serve_bench.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
-        help="expose /metrics,/healthz,/readyz on 127.0.0.1:PORT during "
-             "the replay (0 = ephemeral)",
-    )
 
-    serve_up = serve_commands.add_parser(
-        "up",
+    serve_up = command(
+        serve_commands, "up", _command_serve_up, "scale", "seed",
+        "scenario", "machine", "workers", "isolation", "telemetry_port",
+        "no_reuse",
         help="hold a service up (with its telemetry endpoint) for a "
              "fixed duration — the CI smoke / manual scrape target",
     )
+    serve_up.set_defaults(scale=0.05, telemetry_port=0)
     serve_up.add_argument(
         "--kernels", nargs="*", default=[], metavar="KERNEL",
         help="requests to submit (and wait for) once the service is up",
-    )
-    serve_up.add_argument("--scale", type=float, default=0.05)
-    serve_up.add_argument("--seed", type=int, default=0)
-    serve_up.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-    )
-    serve_up.add_argument("--machine", choices=sorted(MACHINES),
-                          default="B")
-    serve_up.add_argument("--workers", type=int, default=2)
-    serve_up.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-    )
-    serve_up.add_argument(
-        "--telemetry-port", type=int, default=0, metavar="PORT",
-        help="telemetry endpoint port (default 0: ephemeral, printed)",
     )
     serve_up.add_argument(
         "--duration", type=float, default=60.0, metavar="SECONDS",
         help="how long to keep serving after submissions complete "
              "(default 60; Ctrl-C exits early)",
     )
-    serve_up.add_argument(
-        "--no-reuse", action="store_true",
-        help="skip the shared result cache",
-    )
 
-    serve_status = serve_commands.add_parser(
-        "status",
+    serve_status = command(
+        serve_commands, "status", _command_serve_status,
         help="query a running service's telemetry endpoint "
              "(/healthz, /readyz, optionally /metrics)",
     )
@@ -360,30 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the /metrics text exposition",
     )
 
-    serve_trace = serve_commands.add_parser(
-        "trace",
+    serve_trace = command(
+        serve_commands, "trace", _command_serve_trace, "scale", "seed",
+        "scenario", "machine", "studies", "isolation", "timeout",
         help="submit one request through a fresh service and emit its "
              "stitched cross-process Chrome trace",
     )
+    serve_trace.set_defaults(scale=0.25, timeout=600.0)
     serve_trace.add_argument("kernel", metavar="KERNEL")
-    serve_trace.add_argument("--scale", type=float, default=0.25)
-    serve_trace.add_argument("--seed", type=int, default=0)
-    serve_trace.add_argument(
-        "--scenario", choices=scenario_names(), default="default",
-    )
-    serve_trace.add_argument("--machine", choices=sorted(MACHINES),
-                             default="B")
-    serve_trace.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY", help="studies for the request (default: timing)",
-    )
-    serve_trace.add_argument(
-        "--isolation", choices=("process", "inline"), default="process",
-        help="process (default) demonstrates cross-process stitching",
-    )
-    serve_trace.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-    )
     serve_trace.add_argument(
         "--out", default=None, metavar="PATH",
         help="Chrome trace output path (default: <kernel>.trace.json)",
@@ -395,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
              "perf-regression sentinel",
     )
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
-    obs_export = obs_commands.add_parser(
-        "export",
+    obs_export = command(
+        obs_commands, "export", _command_obs_export,
         help="render metrics (from saved reports, or the current "
              "process) as Prometheus text or a JSON snapshot",
     )
@@ -413,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="PATH",
         help="write to this path instead of stdout",
     )
-    obs_check = obs_commands.add_parser(
-        "check",
+    obs_check = command(
+        obs_commands, "check", _command_obs_check,
         help="the perf-regression sentinel: classify the newest "
              "BENCH_*.json entries against median±MAD baselines "
              "(exit 1 on regression)",
@@ -446,16 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="inspect and manage the sharded result store"
     )
     cache_commands = cache.add_subparsers(dest="cache_command", required=True)
-    cache_commands.add_parser(
-        "list", help="list cached reports (most recent first)"
-    )
-    cache_gc = cache_commands.add_parser(
-        "gc",
+    command(cache_commands, "list", _command_cache_list,
+            help="list cached reports (most recent first)")
+    cache_gc = command(
+        cache_commands, "gc", _command_cache_gc, "all",
         help="drop unservable entries and enforce a byte/entry budget",
-    )
-    cache_gc.add_argument(
-        "--all", action="store_true",
-        help="remove every cached report, current ones included",
     )
     cache_gc.add_argument(
         "--max-bytes", type=int, default=None, metavar="BYTES",
@@ -473,14 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_commands = sweep.add_subparsers(dest="sweep_command",
                                           required=True)
-    sweep_expand = sweep_commands.add_parser(
-        "expand",
+    sweep_expand = command(
+        sweep_commands, "expand", _command_sweep_expand, "manifest",
         help="expand a manifest and print its cells (no kernels run)",
-    )
-    sweep_expand.add_argument(
-        "--manifest", default="matrix", metavar="NAME_OR_PATH",
-        help="manifest name under benchmarks/manifests/ or a TOML path "
-             "(default: matrix)",
     )
     sweep_expand.add_argument(
         "--backend", dest="backends", nargs="+", default=None,
@@ -488,12 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the grid multiplier a backend axis would add "
              "(space- or comma-separated backend names)",
     )
-    sweep_run = sweep_commands.add_parser(
-        "run", help="run a kernel × cell × scale grid and save sweep.json"
-    )
-    sweep_run.add_argument(
-        "--manifest", default="matrix", metavar="NAME_OR_PATH",
-        help="manifest to sweep (default: matrix)",
+    sweep_run = command(
+        sweep_commands, "run", _command_sweep_run, "manifest", "studies",
+        "machine", "jobs", "timeout", "reuse", "dir",
+        help="run a kernel × cell × scale grid and save sweep.json "
+             "(paper-fidelity cells get their gate studies added)",
     )
     sweep_run.add_argument(
         "--kernels", nargs="+", required=True, type=_name_list,
@@ -503,12 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument(
         "--cells", nargs="+", default=None, type=_name_list,
         metavar="CELL", help="restrict to these manifest cells",
-    )
-    sweep_run.add_argument(
-        "--studies", nargs="+", default=[["timing"]], type=_study_list,
-        metavar="STUDY",
-        help="studies per grid point (default: timing; paper-fidelity "
-             "cells get their gate studies added automatically)",
     )
     sweep_run.add_argument(
         "--scales", nargs="+", type=float, default=[1.0], metavar="SCALE",
@@ -525,39 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
              "separated (default: each kernel's own default backend); "
              "every kernel must support every listed backend",
     )
-    sweep_run.add_argument("--machine", choices=sorted(MACHINES),
-                           default="B")
-    sweep_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="executor worker processes (default 1)",
-    )
-    sweep_run.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job time limit (enforced when --jobs > 1)",
-    )
-    sweep_run.add_argument(
-        "--reuse", action="store_true",
-        help="serve grid points from the shared result cache and write "
-             "fresh reports back",
-    )
-    sweep_run.add_argument(
-        "--dir", default="benchmarks/results/sweep", metavar="DIR",
-        help="output directory for sweep.json "
-             "(default: benchmarks/results/sweep)",
-    )
-    sweep_report = sweep_commands.add_parser(
-        "report",
-        help="aggregate a saved sweep into summary + leaderboard tables",
-    )
-    sweep_report.add_argument(
-        "--dir", default="benchmarks/results/sweep", metavar="DIR",
-        help="directory holding sweep.json; tables are written next to "
-             "it (default: benchmarks/results/sweep)",
-    )
+    command(sweep_commands, "report", _command_sweep_report, "dir",
+            help="aggregate a saved sweep into summary + leaderboard tables")
     return parser
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     rows = []
     for name in kernel_names():
         kernel = create_kernel(name)
@@ -565,11 +475,6 @@ def _command_list() -> int:
     print(render_table(["kernel", "parent tool", "input type"], rows,
                        title="Registered kernels"))
     return 0
-
-
-#: Series prefix the backend-fallback counter exports under (labels
-#: follow in ``{key=value,...}`` form, alphabetical by key).
-_FALLBACK_PREFIX = "kernel.backend_fallback{"
 
 
 def _fallback_warnings(reports: dict) -> list[str]:
@@ -584,13 +489,9 @@ def _fallback_warnings(reports: dict) -> list[str]:
     lines = []
     for name, report in reports.items():
         for key, count in (report.metrics.get("counters") or {}).items():
-            if not key.startswith(_FALLBACK_PREFIX):
+            series, labels = parse_series(key)
+            if series != "kernel.backend_fallback":
                 continue
-            labels = dict(
-                part.split("=", 1)
-                for part in key[len(_FALLBACK_PREFIX):-1].split(",")
-                if "=" in part
-            )
             lines.append(
                 f"warning: {name} ({labels.get('component', '?')}): "
                 f"backend {labels.get('requested', '?')!r} fell back to "
@@ -604,7 +505,7 @@ def _command_run(args: argparse.Namespace) -> int:
     kernels = list(args.kernels) + list(args.kernels_opt or [])
     if not kernels:
         kernels = list(SUITE_KERNELS)
-    studies = [study for token in args.studies for study in token]
+    studies = _flat(args.studies)
     tracer = Tracer() if args.trace_out else None
     try:
         with trace.use(tracer) if tracer else _null_context():
@@ -612,7 +513,8 @@ def _command_run(args: argparse.Namespace) -> int:
                 tuple(kernels), studies=tuple(studies),
                 scale=args.scale, seed=args.seed,
                 cache_config=MACHINES[args.machine],
-                jobs=args.jobs, timeout=args.timeout, reuse=args.reuse,
+                jobs=args.jobs, timeout=args.timeout,
+                store=ResultStore() if args.reuse else None,
                 scenario=args.scenario, stream=args.stream,
                 backend=args.backend,
             )
@@ -715,92 +617,91 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def _command_validate(args: argparse.Namespace) -> int:
-    names = args.kernels or kernel_names()
-    failures = 0
-    for name in names:
-        kernel = create_kernel(name, scale=args.scale, seed=args.seed,
-                               scenario=args.scenario)
-        try:
-            kernel.validate()
-            print(f"{name:10s} ok")
-        except Exception as error:  # noqa: BLE001 — report and continue
-            failures += 1
-            print(f"{name:10s} FAILED: {error}")
-    return 1 if failures else 0
+    reports = run_suite(
+        tuple(args.kernels) if args.kernels else None,
+        studies=("validate",), scale=args.scale, seed=args.seed,
+        scenario=args.scenario,
+    )
+    for name, report in reports.items():
+        status = f"FAILED: {report.error}" if report.error else "ok"
+        print(f"{name:10s} {status}")
+    return 1 if any(report.error for report in reports.values()) else 0
 
 
-def _command_data(args: argparse.Namespace) -> int:
+def _command_data_list(args: argparse.Namespace) -> int:
     store = default_store()
-    if args.data_command == "list":
-        entries = store.entries()
-        if not entries:
-            print(f"no datasets under {store.root}")
-            return 0
-        rows = []
-        for meta in entries:
-            spec = meta.get("spec", {})
-            rows.append([
-                spec.get("scenario", "?"),
-                spec.get("scale", "?"),
-                spec.get("seed", "?"),
-                meta.get("digest", "?"),
-                meta.get("derived_count", 0),
-                f"{meta.get('disk_bytes', 0) / 1024:.0f} KiB",
-            ])
-        print(render_table(
-            ["scenario", "scale", "seed", "digest", "derived", "size"],
-            rows,
-            title=f"Dataset store: {store.root}",
-        ))
+    entries = store.entries()
+    if not entries:
+        print(f"no datasets under {store.root}")
         return 0
-    if args.data_command == "build":
-        for name in args.scenario:
-            spec = scenario_spec(name, scale=args.scale, seed=args.seed)
-            _data, origin = ensure_corpus(spec, store)
-            print(f"{name:16s} {spec.digest()}  ({origin})")
-        return 0
-    if args.data_command == "gc":
-        removed, freed = store.gc(everything=args.all)
-        print(f"removed {removed} dataset(s), freed {freed / 1024:.0f} KiB")
-        return 0
-    raise AssertionError(f"unhandled data command {args.data_command!r}")
+    rows = []
+    for meta in entries:
+        spec = meta.get("spec", {})
+        rows.append([
+            spec.get("scenario", "?"),
+            spec.get("scale", "?"),
+            spec.get("seed", "?"),
+            meta.get("digest", "?"),
+            meta.get("derived_count", 0),
+            f"{meta.get('disk_bytes', 0) / 1024:.0f} KiB",
+        ])
+    print(render_table(
+        ["scenario", "scale", "seed", "digest", "derived", "size"],
+        rows,
+        title=f"Dataset store: {store.root}",
+    ))
+    return 0
 
 
-def _service_summary(service) -> list[str]:
-    """Human-readable one-liners from a service's metrics registry."""
-    from repro.obs.exposition import parse_series
+def _command_data_build(args: argparse.Namespace) -> int:
+    store = default_store()
+    for name in args.scenario:
+        spec = scenario_spec(name, scale=args.scale, seed=args.seed)
+        _data, origin = ensure_corpus(spec, store)
+        print(f"{name:16s} {spec.digest()}  ({origin})")
+    return 0
+
+
+def _command_data_gc(args: argparse.Namespace) -> int:
+    removed, freed = default_store().gc(everything=args.all)
+    print(f"removed {removed} dataset(s), freed {freed / 1024:.0f} KiB")
+    return 0
+
+
+def _print_service_summary(service, metrics_out: "str | None") -> None:
+    """Print one-liners from a service's metrics registry, and write the
+    whole dump to *metrics_out* when given."""
     from repro.obs.metrics import quantile_estimate
     from repro.serve.service import counter_total
 
     exported = service.metrics.as_dict()
-    lines = [
-        "submitted={:.0f} executed={:.0f} coalesced={:.0f} "
-        "cache_hits={:.0f} rejected={:.0f}".format(
-            counter_total(exported, "serve.submitted"),
-            counter_total(exported, "serve.executed"),
-            counter_total(exported, "serve.coalesced"),
-            counter_total(exported, "serve.cache_hits"),
-            counter_total(exported, "serve.rejected"),
-        )
-    ]
+    print("submitted={:.0f} executed={:.0f} coalesced={:.0f} "
+          "cache_hits={:.0f} rejected={:.0f}".format(
+              counter_total(exported, "serve.submitted"),
+              counter_total(exported, "serve.executed"),
+              counter_total(exported, "serve.coalesced"),
+              counter_total(exported, "serve.cache_hits"),
+              counter_total(exported, "serve.rejected"),
+          ))
     for key, payload in sorted(exported.get("histograms", {}).items()):
         if key.startswith("serve.latency_seconds") and payload["count"]:
             _, labels = parse_series(key)
             origin = labels.get("origin", "all")
             p50, p95, p99 = (quantile_estimate(payload, q)
                              for q in (0.50, 0.95, 0.99))
-            lines.append(
-                f"latency[{origin}]: n={payload['count']} "
-                f"p50={p50 * 1e3:.2f}ms p95={p95 * 1e3:.2f}ms "
-                f"p99={p99 * 1e3:.2f}ms"
-            )
-    return lines
+            print(f"latency[{origin}]: n={payload['count']} "
+                  f"p50={p50 * 1e3:.2f}ms p95={p95 * 1e3:.2f}ms "
+                  f"p99={p99 * 1e3:.2f}ms")
+    if metrics_out:
+        Path(metrics_out).write_text(
+            json.dumps(exported, indent=2, sort_keys=True))
+        print(f"metrics written to {metrics_out}")
 
 
 def _command_serve_submit(args: argparse.Namespace) -> int:
     from repro.serve import BenchService
 
-    studies = tuple(study for token in args.studies for study in token)
+    studies = tuple(_flat(args.studies))
     service = BenchService(
         workers=args.workers, max_queue=args.queue_limit,
         timeout=args.timeout, isolation=args.isolation,
@@ -842,13 +743,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
         title=(f"serve submit (workers={args.workers}, "
                f"isolation={args.isolation}, scale={args.scale})"),
     ))
-    for line in _service_summary(service):
-        print(line)
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            json.dumps(service.metrics.as_dict(), indent=2, sort_keys=True)
-        )
-        print(f"metrics written to {args.metrics_out}")
+    _print_service_summary(service, args.metrics_out)
     return 1 if failures else 0
 
 
@@ -895,13 +790,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     ))
     print(f"served without execution: {served}/{result.completed} "
           f"(theoretical duplicate fraction {dup:.3f})")
-    for line in _service_summary(service):
-        print(line)
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(
-            json.dumps(service.metrics.as_dict(), indent=2, sort_keys=True)
-        )
-        print(f"metrics written to {args.metrics_out}")
+    _print_service_summary(service, args.metrics_out)
     return 1 if result.errors else 0
 
 
@@ -967,7 +856,7 @@ def _command_serve_trace(args: argparse.Namespace) -> int:
     from repro.obs.context import stitch_trace
     from repro.serve import BenchService
 
-    studies = tuple(study for token in args.studies for study in token)
+    studies = tuple(_flat(args.studies))
     tracer = Tracer()
     with trace.use(tracer):
         with BenchService(workers=1, isolation=args.isolation,
@@ -991,20 +880,6 @@ def _command_serve_trace(args: argparse.Namespace) -> int:
     write_chrome_trace(stitched, out)
     print(f"trace written to {out} (open in https://ui.perfetto.dev)")
     return 1 if report.error else 0
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    if args.serve_command == "submit":
-        return _command_serve_submit(args)
-    if args.serve_command == "bench":
-        return _command_serve_bench(args)
-    if args.serve_command == "up":
-        return _command_serve_up(args)
-    if args.serve_command == "status":
-        return _command_serve_status(args)
-    if args.serve_command == "trace":
-        return _command_serve_trace(args)
-    raise AssertionError(f"unhandled serve command {args.serve_command!r}")
 
 
 def _command_obs_export(args: argparse.Namespace) -> int:
@@ -1053,45 +928,38 @@ def _command_obs_check(args: argparse.Namespace) -> int:
     return 1 if obs_baseline.overall_status(checks) == "regress" else 0
 
 
-def _command_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "export":
-        return _command_obs_export(args)
-    if args.obs_command == "check":
-        return _command_obs_check(args)
-    raise AssertionError(f"unhandled obs command {args.obs_command!r}")
-
-
-def _command_cache(args: argparse.Namespace) -> int:
+def _command_cache_list(args: argparse.Namespace) -> int:
     store = ResultStore()
-    if args.cache_command == "list":
-        entries = store.entries()
-        if not entries:
-            print(f"no cached reports under {store.root}")
-            return 0
-        rows = [[
-            meta["digest"],
-            meta.get("kernel", "?"),
-            meta.get("scenario", "?"),
-            meta.get("scale", "?"),
-            ",".join(meta.get("studies", [])),
-            f"{meta.get('bytes', 0) / 1024:.0f} KiB",
-        ] for meta in entries]
-        print(render_table(
-            ["digest", "kernel", "scenario", "scale", "studies", "size"],
-            rows,
-            title=(f"Result cache: {store.root} "
-                   f"({store.total_bytes() / 1024:.0f} KiB)"),
-        ))
+    entries = store.entries()
+    if not entries:
+        print(f"no cached reports under {store.root}")
         return 0
-    if args.cache_command == "gc":
-        if args.max_bytes is not None:
-            store.max_bytes = args.max_bytes
-        if args.max_entries is not None:
-            store.max_entries = args.max_entries
-        removed, freed = store.gc(everything=args.all)
-        print(f"removed {removed} report(s), freed {freed / 1024:.0f} KiB")
-        return 0
-    raise AssertionError(f"unhandled cache command {args.cache_command!r}")
+    rows = [[
+        meta["digest"],
+        meta.get("kernel", "?"),
+        meta.get("scenario", "?"),
+        meta.get("scale", "?"),
+        ",".join(meta.get("studies", [])),
+        f"{meta.get('bytes', 0) / 1024:.0f} KiB",
+    ] for meta in entries]
+    print(render_table(
+        ["digest", "kernel", "scenario", "scale", "studies", "size"],
+        rows,
+        title=(f"Result cache: {store.root} "
+               f"({store.total_bytes() / 1024:.0f} KiB)"),
+    ))
+    return 0
+
+
+def _command_cache_gc(args: argparse.Namespace) -> int:
+    store = ResultStore()
+    if args.max_bytes is not None:
+        store.max_bytes = args.max_bytes
+    if args.max_entries is not None:
+        store.max_entries = args.max_entries
+    removed, freed = store.gc(everything=args.all)
+    print(f"removed {removed} report(s), freed {freed / 1024:.0f} KiB")
+    return 0
 
 
 def _command_sweep_expand(args: argparse.Namespace) -> int:
@@ -1115,8 +983,7 @@ def _command_sweep_expand(args: argparse.Namespace) -> int:
     paper = manifest.paper_cells()
     print(f"\n{len(paper)} paper-fidelity cell(s): "
           f"{', '.join(cell.name for cell in paper) or '-'}")
-    backends = (tuple(b for token in args.backends for b in token)
-                if args.backends else ())
+    backends = _flat(args.backends)
     if backends:
         print(f"backend axis: {', '.join(backends)} — a sweep over this "
               f"manifest grids {len(manifest.cells)} cells x "
@@ -1127,23 +994,19 @@ def _command_sweep_expand(args: argparse.Namespace) -> int:
 def _command_sweep_run(args: argparse.Namespace) -> int:
     from repro.sweep import compile_sweep, run_sweep, save_sweep
 
-    kernels = tuple(k for token in args.kernels for k in token)
-    cells = (tuple(c for token in args.cells for c in token)
-             if args.cells else None)
-    studies = tuple(study for token in args.studies for study in token)
-    backends = (tuple(b for token in args.backends for b in token)
-                if args.backends else None)
     plan = compile_sweep(
-        args.manifest, kernels=kernels, studies=studies,
-        scales=tuple(args.scales), seeds=tuple(args.seeds), cells=cells,
-        cache_config=MACHINES[args.machine], backends=backends,
+        args.manifest, kernels=tuple(_flat(args.kernels)),
+        studies=tuple(_flat(args.studies)), scales=tuple(args.scales),
+        seeds=tuple(args.seeds), cells=tuple(_flat(args.cells)) or None,
+        cache_config=MACHINES[args.machine],
+        backends=tuple(_flat(args.backends)) or None,
     )
     print(f"sweep: {len(plan)} grid points "
           f"({len(set(plan.cells))} cells x {len(plan.kernels)} kernels "
           f"x {len(plan.scales)} scales x {len(plan.seeds)} seeds x "
           f"{len(plan.backends)} backends)")
     result = run_sweep(plan, workers=args.jobs, timeout=args.timeout,
-                       reuse=args.reuse)
+                       store=ResultStore() if args.reuse else None)
     path = save_sweep(result, args.dir)
     origins = result.origin_counts()
     print(f"completed in {result.wall_seconds:.1f}s "
@@ -1190,37 +1053,9 @@ def _command_sweep_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    if args.sweep_command == "expand":
-        return _command_sweep_expand(args)
-    if args.sweep_command == "run":
-        return _command_sweep_run(args)
-    if args.sweep_command == "report":
-        return _command_sweep_report(args)
-    raise AssertionError(f"unhandled sweep command {args.sweep_command!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "trace":
-        return _command_trace(args)
-    if args.command == "validate":
-        return _command_validate(args)
-    if args.command == "data":
-        return _command_data(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "obs":
-        return _command_obs(args)
-    if args.command == "cache":
-        return _command_cache(args)
-    if args.command == "sweep":
-        return _command_sweep(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

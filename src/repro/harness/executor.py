@@ -2,15 +2,16 @@
 
 ``compile_plan`` turns a suite request into an :class:`ExecutionPlan` of
 per-kernel :class:`Job`\\ s (validated up front, so configuration errors
-raise before anything runs).  ``execute_plan`` dispatches the plan:
+raise before anything runs).  ``execute_jobs`` dispatches a batch of
+jobs (``run_suite`` and the sweep driver both go through it):
 
-* serving cache hits from the :class:`~repro.harness.store.ResultStore`
-  when ``reuse`` is on;
-* in-process when ``jobs == 1`` (deterministic, no pickling);
-* over a pool of worker processes when ``jobs > 1``, with per-job
+* serving cache hits from a :class:`~repro.harness.store.ResultStore`
+  when one is passed (``store=None`` means no cache);
+* in-process when ``workers == 1`` (deterministic, no pickling);
+* over a pool of worker processes when ``workers > 1``, with per-job
   timeout and failure isolation — a kernel that raises, hangs past its
   deadline, or kills its worker yields a report whose ``error`` field is
-  set, and the rest of the suite keeps going.
+  set, and the rest of the batch keeps going.
 
 The pool is observable end to end: every worker runs under its own span
 tracer and ships its spans back inside the report; each span is *also*
@@ -33,7 +34,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import multiprocessing.connection
-import os
 import tempfile
 import time
 from collections import deque
@@ -180,40 +180,30 @@ def _execute_job(job: Job) -> KernelReport:
     return report
 
 
-#: Per-worker span spool cap (bytes); REPRO_SPAN_SPOOL_MAX_BYTES overrides.
-DEFAULT_SPOOL_MAX_BYTES = 16 * 1024 * 1024
+#: Per-worker span spool cap (bytes).
+SPOOL_MAX_BYTES = 16 * 1024 * 1024
 
 
-def _spool_max_bytes() -> int:
-    raw = os.environ.get("REPRO_SPAN_SPOOL_MAX_BYTES", "")
-    try:
-        return int(raw) if raw else DEFAULT_SPOOL_MAX_BYTES
-    except ValueError:
-        return DEFAULT_SPOOL_MAX_BYTES
-
-
-def _spool_writer(path: Path, max_bytes: "int | None" = None):
+def _spool_writer(path: Path):
     """An ``on_finish`` hook appending each record as one JSON line.
 
     Opened per record on purpose: the worker may be terminated at any
     moment, and a line-buffered append is the crash-safe spool the
     parent reads partial spans back from.
 
-    The spool is bounded (*max_bytes*, default
-    :data:`DEFAULT_SPOOL_MAX_BYTES` or ``REPRO_SPAN_SPOOL_MAX_BYTES``):
-    a pathological run emitting millions of spans cannot fill the disk.
+    The spool is bounded by :data:`SPOOL_MAX_BYTES`: a pathological run
+    emitting millions of spans cannot fill the disk.
     Records past the cap are dropped from the spool only — they stay in
     the tracer's in-memory list and still ship back with a successful
     report — and counted in the worker's registry as
     ``executor.spool_dropped_spans``.
     """
-    limit = _spool_max_bytes() if max_bytes is None else max_bytes
     written = 0
 
     def on_finish(record: dict) -> None:
         nonlocal written
         line = json.dumps(record) + "\n"
-        if written + len(line) > limit:
+        if written + len(line) > SPOOL_MAX_BYTES:
             obs_metrics.counter("executor.spool_dropped_spans").inc()
             return
         written += len(line)
@@ -452,8 +442,7 @@ class JobOutcome:
 
     ``execute_jobs`` returns these in submission order, so grids that
     run the same kernel many times (one per scenario cell — the sweep
-    driver's shape) keep every report; ``execute_plan``'s kernel-keyed
-    dict view is derived from them.
+    driver's shape) keep every report.
     """
 
     job: Job
@@ -465,27 +454,23 @@ def execute_jobs(
     jobs: "list[Job] | tuple[Job, ...]",
     workers: int = 1,
     timeout: float | None = None,
-    reuse: bool = False,
     store: ResultStore | None = None,
 ) -> list[JobOutcome]:
     """Execute *jobs* and return one :class:`JobOutcome` per job, in
     order.
 
-    With ``reuse=True`` cached reports are served without executing the
+    With a *store*, cached reports are served without executing the
     kernel (``origin == "cached"``) and fresh successful reports are
-    written back to *store* (default: the shared
-    ``benchmarks/results/cache/`` store).  Timeouts require process
-    isolation and are enforced only when ``workers > 1``.
+    written back; ``store=None`` executes every job.  Timeouts require
+    process isolation and are enforced only when ``workers > 1``.
     """
     if workers < 1:
         raise KernelError("workers must be >= 1")
-    if reuse and store is None:
-        store = ResultStore()
 
     outcomes: list[JobOutcome | None] = [None] * len(jobs)
     pending: list[tuple[int, Job]] = []
     for index, job in enumerate(jobs):
-        cached = store.load(job) if reuse and store is not None else None
+        cached = store.load(job) if store is not None else None
         if cached is not None:
             outcomes[index] = JobOutcome(job=job, report=cached,
                                          origin=CACHED)
@@ -502,26 +487,7 @@ def execute_jobs(
                                  timeout=timeout)
 
     for (index, job), report in zip(pending, executed):
-        if reuse and store is not None:
+        if store is not None:
             store.save(job, report)
         outcomes[index] = JobOutcome(job=job, report=report, origin=EXECUTED)
     return [outcome for outcome in outcomes if outcome is not None]
-
-
-def execute_plan(
-    plan: ExecutionPlan,
-    jobs: int = 1,
-    timeout: float | None = None,
-    reuse: bool = False,
-    store: ResultStore | None = None,
-) -> dict[str, KernelReport]:
-    """Execute *plan* and return reports keyed by kernel, in plan order.
-
-    The kernel-keyed view suits single-scenario suites (one job per
-    kernel); grids with repeated kernels should call
-    :func:`execute_jobs` for the full per-job outcome list.
-    """
-    outcomes = execute_jobs(plan.jobs, workers=jobs, timeout=timeout,
-                            reuse=reuse, store=store)
-    reports = {outcome.job.kernel: outcome.report for outcome in outcomes}
-    return {job.kernel: reports[job.kernel] for job in plan.jobs}

@@ -6,8 +6,9 @@ Three layers (see README "Harness architecture"):
   passes (``timing``/``topdown``/``cache``/``instmix``/``validate``/
   ``gpu``) in ``STUDY_REGISTRY``;
 * **executor** (:mod:`repro.harness.executor`) — compiles an
-  :class:`~repro.harness.executor.ExecutionPlan` and dispatches it over a
-  process pool with per-job timeout and failure isolation;
+  :class:`~repro.harness.executor.ExecutionPlan` and dispatches its jobs
+  (``execute_jobs``) in-process or over a process pool with per-job
+  timeout and failure isolation;
 * **store** (:mod:`repro.harness.store`) — a content-addressed report
   cache, so repeated runs at identical parameters execute nothing.
 
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import repro
 from repro.errors import KernelError
-from repro.harness.studies import create_study, study_names
+from repro.harness.studies import create_study
 from repro.kernels.base import create_kernel, kernel_names
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
@@ -41,12 +42,6 @@ from repro.uarch.machine import TraceMachine
 #: v4: the backend plane — reports carry the execution ``backend`` and
 #: it joins the cache key, so pre-backend cached reports invalidate.
 SCHEMA_VERSION = 4
-
-
-#: The built-in study names (the old harness's hard-coded tuple, now a
-#: snapshot of ``STUDY_REGISTRY``; use ``study_names()`` for a live view
-#: that includes studies registered after import).
-ALL_STUDIES = study_names()
 
 
 @dataclass
@@ -194,7 +189,6 @@ def run_suite(
     cache_config: CacheConfig = MACHINE_B,
     jobs: int = 1,
     timeout: float | None = None,
-    reuse: bool = False,
     store: "object | None" = None,
     scenario: str = "default",
     stream: bool = False,
@@ -207,10 +201,11 @@ def run_suite(
       per-kernel failure isolation.
     * ``timeout`` — per-kernel wall-clock limit in seconds (enforced when
       ``jobs > 1``; a timed-out kernel's report carries an ``error``).
-    * ``reuse`` — serve cache hits from (and write misses to) the result
-      ``store`` (default: the sharded, LRU-indexed
-      :class:`repro.harness.store.ResultStore` under ``$REPRO_CACHE_DIR``
-      or ``benchmarks/results/cache/``).
+    * ``store`` — serve cache hits from (and write misses to) this
+      :class:`repro.harness.store.ResultStore`; ``ResultStore()`` is the
+      shared one under ``$REPRO_CACHE_DIR`` or
+      ``benchmarks/results/cache/``.  ``None`` (the default) executes
+      every kernel.
     * ``scenario`` — named dataset scenario from
       :data:`repro.data.SCENARIO_REGISTRY` every kernel prepares on.
     * ``stream`` — bounded-memory mode: the
@@ -220,7 +215,7 @@ def run_suite(
     * ``backend`` — execution backend for every kernel (``None``: each
       kernel's default); must be supported by all requested kernels.
     """
-    from repro.harness.executor import compile_plan, execute_plan
+    from repro.harness.executor import compile_plan, execute_jobs
 
     names = kernels if kernels is not None else tuple(kernel_names())
     plan = compile_plan(
@@ -228,7 +223,9 @@ def run_suite(
         cache_config=cache_config, scenario=scenario, stream=stream,
         backend=backend,
     )
-    return execute_plan(plan, jobs=jobs, timeout=timeout, reuse=reuse, store=store)
+    outcomes = execute_jobs(plan.jobs, workers=jobs, timeout=timeout,
+                            store=store)
+    return {outcome.job.kernel: outcome.report for outcome in outcomes}
 
 
 def _git_sha() -> str:

@@ -3,9 +3,10 @@
 Reports are cached on disk keyed by a content digest of everything that
 determines a job's outcome: kernel name, the (order-normalized) study
 set, scale, seed, dataset scenario, the cache-hierarchy configuration,
-and the package version.  ``run_suite(..., reuse=True)`` serves cache hits, so the 14
-benchmark figures stop re-characterizing the same kernels once per
-figure, and a repeated run at identical parameters executes nothing.
+and the package version.  ``run_suite(..., store=ResultStore())`` serves
+cache hits, so the 14 benchmark figures stop re-characterizing the same
+kernels once per figure, and a repeated run at identical parameters
+executes nothing.
 
 Layout (under ``benchmarks/results/cache/`` by default, overridable via
 the ``REPRO_CACHE_DIR`` environment variable or the ``root`` argument)::

@@ -30,14 +30,13 @@ from repro.serve.service import (
     JobHandle,
     JobStatus,
     counter_total,
-    plan_handles,
 )
 from repro.serve.shards import ShardedResultStore
 
 __all__ = [
     "BenchService", "JobHandle", "JobStatus", "ShardedResultStore",
     "TraceSpec", "ReplayResult", "generate_requests", "working_set",
-    "duplicate_fraction", "replay", "counter_total", "plan_handles",
+    "duplicate_fraction", "replay", "counter_total",
     "ServeError", "ServeTimeout", "ServiceOverloaded",
     "QUEUED", "RUNNING", "DONE", "EXECUTED", "COALESCED", "CACHED",
     "DEFAULT_KERNELS",

@@ -46,10 +46,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ServeError, ServeTimeout, ServiceOverloaded
 from repro.harness.executor import (
-    ExecutionPlan,
     Job,
     _execute_job,
     _execute_pool,
+    _failure_report,
     _prebuild_datasets,
     compile_plan,
 )
@@ -448,11 +448,7 @@ class BenchService:
         try:
             report = self._run(job)
         except Exception as error:  # noqa: BLE001 — a worker must survive
-            report = KernelReport(
-                kernel=job.kernel, error=f"{type(error).__name__}: {error}",
-                scale=job.scale, seed=job.seed,
-                machine=job.cache_config.name, scenario=job.scenario,
-            )
+            report = _failure_report(job, f"{type(error).__name__}: {error}")
         elapsed = time.perf_counter() - started
         self._record_span(
             f"serve/execute/{job.kernel}", started, elapsed,
@@ -563,8 +559,3 @@ def counter_total(exported: dict, name: str) -> float:
     prefix = name + "{"
     return sum(value for key, value in exported.get("counters", {}).items()
                if key == name or key.startswith(prefix))
-
-
-def plan_handles(service: BenchService, plan: ExecutionPlan) -> list[JobHandle]:
-    """Submit every job of a compiled plan; returns the handles."""
-    return [service.submit_job(job) for job in plan.jobs]

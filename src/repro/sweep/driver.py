@@ -10,7 +10,7 @@ kernel or study fails before anything runs.  Cells the manifest flags
 gates need (:mod:`repro.sweep.gates`), and every paper-cell report is
 gate-checked when results come back.
 
-``run_sweep`` dispatches the grid three ways:
+``run_sweep`` gets each grid point's report one of three ways:
 
 * through :func:`~repro.harness.executor.execute_jobs` (the default) —
   the same failure-isolated pool, result cache, and per-job timeouts
@@ -21,8 +21,9 @@ gate-checked when results come back.
 * through a ``runner`` callable (``Job -> KernelReport``) — the test
   hook, mirroring :class:`BenchService`'s.
 
-The result is a flat list of :class:`CellResult`\\ s — one per grid
-point, each carrying its report, its origin (``executed`` / ``cached`` /
+All three yield :class:`~repro.harness.executor.JobOutcome`\\ s, which
+become a flat list of :class:`CellResult`\\ s — one per grid point, each
+carrying its report, its origin (``executed`` / ``cached`` /
 ``coalesced``), and any gate violations — which
 :mod:`repro.analysis.aggregate` folds into summary tables and
 leaderboards.  ``save_sweep``/``load_sweep`` round-trip the whole thing
@@ -237,34 +238,24 @@ class SweepResult:
         return counts
 
 
-def _gate_check(plan: SweepPlan, index: int,
-                report: KernelReport) -> tuple[str, ...]:
-    if not plan.paper[index]:
-        return ()
-    return check_paper_gates(report)
-
-
-def _fidelity(plan: SweepPlan, index: int) -> str:
-    return "paper" if plan.paper[index] else "bench"
-
-
 def _results_from_outcomes(
     plan: SweepPlan, outcomes: "list[JobOutcome]"
 ) -> list[CellResult]:
-    # execute_jobs drops outcomes only for jobs it never produced a
-    # report for (it doesn't today); align defensively by position.
+    """One gate-checked :class:`CellResult` per outcome, aligned by
+    position with *plan*'s grid."""
     results = []
     for index, outcome in enumerate(outcomes):
-        job = outcome.job
+        job, report = outcome.job, outcome.report
         results.append(CellResult(
             scenario=job.scenario,
             kernel=job.kernel,
             scale=job.scale,
             seed=job.seed,
-            fidelity=_fidelity(plan, index),
+            fidelity="paper" if plan.paper[index] else "bench",
             origin=outcome.origin,
-            report=outcome.report,
-            gate_violations=_gate_check(plan, index, outcome.report),
+            report=report,
+            gate_violations=(check_paper_gates(report)
+                             if plan.paper[index] else ()),
             backend=job.backend,
         ))
     return results
@@ -296,7 +287,6 @@ def run_sweep(
     plan: SweepPlan,
     workers: int = 1,
     timeout: "float | None" = None,
-    reuse: bool = True,
     store: "ResultStore | None" = None,
     service: "BenchService | None" = None,
     runner: "Callable[[Job], KernelReport] | None" = None,
@@ -306,37 +296,25 @@ def run_sweep(
     Exactly one execution path applies: *runner* (test hook) wins over
     *service* (submit through a :class:`BenchService`, sharing its
     coalescing and cache) which wins over the default executor path
-    (:func:`execute_jobs` with *workers*/*timeout*/*reuse*/*store*).
+    (:func:`execute_jobs` with *workers*/*timeout*/*store*; a *store*
+    serves cache hits and keeps fresh reports, ``None`` runs every job).
     """
     started = time.monotonic()
     with trace.timed_span(f"sweep/{plan.manifest.name}",
                           {"grid_points": len(plan)}):
         if runner is not None:
-            outcomes = [JobOutcome(job=job, report=runner(job),
-                                   origin=EXECUTED)
+            outcomes = [JobOutcome(job=job, report=runner(job))
                         for job in plan.jobs]
-            results = _results_from_outcomes(plan, outcomes)
         elif service is not None:
             handles = [service.submit_job(job) for job in plan.jobs]
-            results = []
-            for index, handle in enumerate(handles):
-                report = handle.wait(timeout=timeout)
-                results.append(CellResult(
-                    scenario=handle.job.scenario,
-                    kernel=handle.job.kernel,
-                    scale=handle.job.scale,
-                    seed=handle.job.seed,
-                    fidelity=_fidelity(plan, index),
-                    origin=handle.origin or EXECUTED,
-                    report=report,
-                    gate_violations=_gate_check(plan, index, report),
-                    backend=handle.job.backend,
-                ))
+            outcomes = [JobOutcome(job=handle.job,
+                                   report=handle.wait(timeout=timeout),
+                                   origin=handle.origin or EXECUTED)
+                        for handle in handles]
         else:
             outcomes = execute_jobs(plan.jobs, workers=workers,
-                                    timeout=timeout, reuse=reuse,
-                                    store=store)
-            results = _results_from_outcomes(plan, outcomes)
+                                    timeout=timeout, store=store)
+        results = _results_from_outcomes(plan, outcomes)
     _record_sweep_metrics(plan, results, time.monotonic() - started)
     return SweepResult(
         manifest_name=plan.manifest.name,

@@ -12,7 +12,6 @@ from repro.harness.executor import (
     Job,
     compile_plan,
     execute_jobs,
-    execute_plan,
 )
 from repro.harness.runner import run_suite
 from repro.harness.store import ResultStore
@@ -100,7 +99,7 @@ class TestParallelDispatch:
     def test_bad_job_count_rejected(self):
         plan = compile_plan(("gbwt",))
         with pytest.raises(KernelError):
-            execute_plan(plan, jobs=0)
+            execute_jobs(plan.jobs, workers=0)
 
 
 class TestExecutorObservability:
@@ -197,7 +196,10 @@ class TestSpanSpool:
     def test_cap_drops_spool_lines_but_report_keeps_spans(
         self, fake_kernels, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_SPAN_SPOOL_MAX_BYTES", "512")
+        from repro.harness import executor
+
+        # Forked workers inherit the patched module constant.
+        monkeypatch.setattr(executor, "SPOOL_MAX_BYTES", 512)
         reports = run_suite(("fake-spanspam",), jobs=2)
         report = reports["fake-spanspam"]
         assert report.ok
@@ -220,33 +222,29 @@ class TestSpanSpool:
 class TestReuse:
     def test_second_run_executes_no_kernel(self, fake_kernels, tmp_path):
         store = ResultStore(tmp_path)
-        first = run_suite(("fake-ok",), studies=("timing",), reuse=True,
-                          store=store)
+        first = run_suite(("fake-ok",), studies=("timing",), store=store)
         assert OkKernel.executions == 1
-        second = run_suite(("fake-ok",), studies=("timing",), reuse=True,
-                           store=store)
+        second = run_suite(("fake-ok",), studies=("timing",), store=store)
         assert OkKernel.executions == 1  # cache hit: zero executions
         assert second["fake-ok"] == first["fake-ok"]
 
     def test_different_parameters_miss(self, fake_kernels, tmp_path):
         store = ResultStore(tmp_path)
-        run_suite(("fake-ok",), studies=("timing",), seed=0, reuse=True,
-                  store=store)
-        run_suite(("fake-ok",), studies=("timing",), seed=1, reuse=True,
-                  store=store)
+        run_suite(("fake-ok",), studies=("timing",), seed=0, store=store)
+        run_suite(("fake-ok",), studies=("timing",), seed=1, store=store)
         assert OkKernel.executions == 2
 
     def test_failures_are_not_cached(self, fake_kernels, tmp_path):
         store = ResultStore(tmp_path)
-        run_suite(("fake-crash",), reuse=True, store=store)
+        run_suite(("fake-crash",), store=store)
         assert CrashKernel.executions == 1
-        run_suite(("fake-crash",), reuse=True, store=store)
+        run_suite(("fake-crash",), store=store)
         assert CrashKernel.executions == 2  # re-executed, not served
 
     def test_reuse_off_always_executes(self, fake_kernels, tmp_path):
         store = ResultStore(tmp_path)
-        run_suite(("fake-ok",), reuse=True, store=store)
-        run_suite(("fake-ok",), reuse=False, store=store)
+        run_suite(("fake-ok",), store=store)
+        run_suite(("fake-ok",), store=None)
         assert OkKernel.executions == 2
 
 
@@ -261,7 +259,7 @@ class TestExecuteJobs:
         """Identical jobs in one batch each get their own outcome — the
         sweep driver relies on positional alignment with its grid."""
         jobs = (self.job(), self.job(), self.job(seed=1))
-        outcomes = execute_jobs(jobs, reuse=False)
+        outcomes = execute_jobs(jobs)
         assert len(outcomes) == 3
         assert [o.job for o in outcomes] == list(jobs)
         for outcome in outcomes:
@@ -270,9 +268,9 @@ class TestExecuteJobs:
 
     def test_origin_tracks_the_result_cache(self, fake_kernels, tmp_path):
         store = ResultStore(tmp_path)
-        cold = execute_jobs((self.job(),), reuse=True, store=store)
+        cold = execute_jobs((self.job(),), store=store)
         assert [o.origin for o in cold] == [EXECUTED]
-        warm = execute_jobs((self.job(),), reuse=True, store=store)
+        warm = execute_jobs((self.job(),), store=store)
         assert [o.origin for o in warm] == [CACHED]
         assert OkKernel.executions == 1
         assert warm[0].report == cold[0].report

@@ -181,6 +181,16 @@ class TestResultCaching:
         exported = svc.metrics.as_dict()
         assert counter_total(exported, "serve.executed") == 1
 
+    def test_worker_failure_report_keeps_the_backend(self, tmp_path):
+        def crash(_job):
+            raise RuntimeError("boom")
+
+        with BenchService(workers=1, isolation="inline",
+                          store=ResultStore(tmp_path), runner=crash) as svc:
+            report = svc.submit("tc", backend="scalar").wait(timeout=10)
+        assert report.error == "RuntimeError: boom"
+        assert report.backend == "scalar"
+
     def test_reuse_false_always_executes(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         calls = []
