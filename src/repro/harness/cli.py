@@ -507,22 +507,16 @@ def _command_run(args: argparse.Namespace) -> int:
         kernels = list(SUITE_KERNELS)
     studies = _flat(args.studies)
     tracer = Tracer() if args.trace_out else None
-    try:
-        with trace.use(tracer) if tracer else _null_context():
-            reports = run_suite(
-                tuple(kernels), studies=tuple(studies),
-                scale=args.scale, seed=args.seed,
-                cache_config=MACHINES[args.machine],
-                jobs=args.jobs, timeout=args.timeout,
-                store=ResultStore() if args.reuse else None,
-                scenario=args.scenario, stream=args.stream,
-                backend=args.backend,
-            )
-    except ReproError as error:
-        # Compile-time rejections (unknown kernel, unsupported backend)
-        # deserve a one-liner, not a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    with trace.use(tracer) if tracer else _null_context():
+        reports = run_suite(
+            tuple(kernels), studies=tuple(studies),
+            scale=args.scale, seed=args.seed,
+            cache_config=MACHINES[args.machine],
+            jobs=args.jobs, timeout=args.timeout,
+            store=ResultStore() if args.reuse else None,
+            scenario=args.scenario, stream=args.stream,
+            backend=args.backend,
+        )
     if tracer is not None:
         # Fold in spans shipped back from worker processes (parallel
         # runs); merge_records drops the parent's own duplicates.
@@ -705,7 +699,7 @@ def _command_serve_submit(args: argparse.Namespace) -> int:
     service = BenchService(
         workers=args.workers, max_queue=args.queue_limit,
         timeout=args.timeout, isolation=args.isolation,
-        reuse=not args.no_reuse,
+        store=None if args.no_reuse else ResultStore(),
         telemetry_port=args.telemetry_port,
     )
     with service:
@@ -801,7 +795,8 @@ def _command_serve_up(args: argparse.Namespace) -> int:
 
     service = BenchService(
         workers=args.workers, isolation=args.isolation,
-        reuse=not args.no_reuse, telemetry_port=args.telemetry_port,
+        store=None if args.no_reuse else ResultStore(),
+        telemetry_port=args.telemetry_port,
     )
     with service:
         print(f"telemetry at {service.telemetry.url}", flush=True)
@@ -859,8 +854,7 @@ def _command_serve_trace(args: argparse.Namespace) -> int:
     studies = tuple(_flat(args.studies))
     tracer = Tracer()
     with trace.use(tracer):
-        with BenchService(workers=1, isolation=args.isolation,
-                          store=None, reuse=False) as service:
+        with BenchService(workers=1, isolation=args.isolation) as service:
             handle = service.submit(
                 args.kernel, studies=studies, scale=args.scale,
                 seed=args.seed, scenario=args.scenario,
@@ -1055,7 +1049,13 @@ def _command_sweep_report(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        # Rejections such as an unknown kernel or an unsupported backend
+        # deserve a one-liner, not a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,32 +12,33 @@ Layout (under ``benchmarks/results/cache/`` by default, overridable via
 the ``REPRO_CACHE_DIR`` environment variable or the ``root`` argument)::
 
     benchmarks/results/cache/
-        index.json            # {"clock", "entries": {digest: {...}}}
-        index.lock            # flock target for cross-process updates
         3f/
             3fa1b2c3d4e5f607.json   # {"schema_version", "job", "report"}
 
+The entry files are the store's whole state; everything else is worked
+out from them:
+
 * **Sharding** — ``<digest[:2]>/<digest>.json`` caps per-directory fanout
   at 256 shards regardless of sweep size.
-* **LRU index** — every hit bumps a logical clock in ``index.json``;
-  eviction removes the least-recently-used entries first.  The index is
-  advisory: if it is missing or corrupt it is rebuilt by scanning the
-  shards, and entry files remain plain per-report JSON.
+* **Recency** — a save or a hit stamps the entry's mtime with the
+  process clock (``time.time_ns()``), so LRU order does not depend on
+  the filesystem's coarse timestamp clock.
 * **Budget** — ``max_bytes`` / ``max_entries`` (or
   ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``) bound the
-  store; a save that crosses the budget evicts inside its own index
-  transaction.  ``serve.cache.evictions`` counts removals and
-  ``serve.cache.bytes`` tracks the footprint.
+  store; every save ends with :meth:`ResultStore.evict`, one ``stat``
+  scan that unlinks the oldest-stamped entries until both budgets hold.
+  ``serve.cache.evictions`` counts removals and ``serve.cache.bytes``
+  tracks the footprint the scan saw.
+* **Listing** — :meth:`ResultStore.entries` reads each entry's own
+  ``"job"`` key for the kernel, scenario, scale and studies.
 
 The store owns only digest-named entries inside their two-hex shard
-directories and ``index.json``; anything else under the root is left
-alone.  Failed reports (``report.error`` set) are never cached: a crash
-or timeout should re-execute on the next run, not stick.
-
-Cross-process safety mirrors the dataset ``ArtifactStore``: index
-read-modify-writes happen under an advisory ``flock`` (plus an
-in-process mutex), and both index and entries are written atomically
-(temp file + rename).
+directories; anything else under the root is left alone.  Failed reports
+(``report.error`` set) are never cached: a crash or timeout should
+re-execute on the next run, not stick.  Entries are written atomically
+(temp file + rename), so concurrent readers and writers in other
+processes see a whole entry or none, and a concurrent eviction at worst
+turns a hit into a miss.
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ import hashlib
 import json
 import os
 import re
-import threading
-from contextlib import contextmanager
+import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import repro
-from repro.data.store import atomic_write_bytes, exclusive_lock
+from repro.data.store import atomic_write_bytes
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
 from repro.obs import metrics
 
@@ -62,9 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: ``<digest>.json`` filenames the store owns inside a shard.
 _DIGEST_NAME = re.compile(r"^[0-9a-f]{16}\.json$")
-
-#: Index filename (lives next to the shards, never inside one).
-INDEX_NAME = "index.json"
 
 
 def default_cache_dir() -> Path:
@@ -137,14 +134,45 @@ def _env_int(name: str) -> int | None:
         return None
 
 
+def _read(path: Path) -> dict | None:
+    """An entry's payload, or ``None`` if it is unreadable or was written
+    by an incompatible report schema."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if (not isinstance(payload, dict)
+            or payload.get("schema_version") != SCHEMA_VERSION):
+        return None
+    return payload
+
+
+def _listdir(path: Path) -> list[str]:
+    """The names in directory *path*; none if it is missing or is not a
+    directory (a concurrent ``clear`` may remove a shard mid-scan)."""
+    try:
+        return os.listdir(path)
+    except OSError:
+        return []
+
+
+def _stamp(path: Path) -> None:
+    """Mark the entry at *path* as the most recently used."""
+    now = time.time_ns()
+    try:
+        os.utime(path, ns=(now, now))
+    except OSError:  # evicted since it was read: still a hit
+        pass
+
+
 class ResultStore:
     """Digest-prefix-sharded, LRU-bounded on-disk cache of
     :class:`KernelReport`\\ s.
 
     ``max_bytes`` / ``max_entries`` of ``None`` fall back to the
     ``$REPRO_CACHE_MAX_BYTES`` / ``$REPRO_CACHE_MAX_ENTRIES``
-    environment knobs; both unset means unbounded (shards and the LRU
-    index still apply, eviction never triggers).
+    environment knobs; both unset means unbounded (eviction never
+    triggers).
     """
 
     def __init__(self, root: str | Path | None = None,
@@ -155,7 +183,6 @@ class ResultStore:
                           else _env_int("REPRO_CACHE_MAX_BYTES"))
         self.max_entries = (max_entries if max_entries is not None
                             else _env_int("REPRO_CACHE_MAX_ENTRIES"))
-        self._mutex = threading.Lock()
 
     # -- paths ---------------------------------------------------------
 
@@ -165,94 +192,32 @@ class ResultStore:
     def path(self, job: "Job") -> Path:
         return self.shard_path(job_digest(job))
 
-    @property
-    def _index_path(self) -> Path:
-        return self.root / INDEX_NAME
-
-    @property
-    def _lock_path(self) -> Path:
-        return self.root / "index.lock"
-
-    def _shard_entries(self) -> list[Path]:
-        """Every digest-named entry file inside its own shard."""
-        if not self.root.is_dir():
-            return []
-        return sorted(path for path in self.root.glob("??/*.json")
-                      if _DIGEST_NAME.match(path.name)
-                      and path.parent.name == path.name[:2])
-
-    # -- index plumbing ------------------------------------------------
-
-    def _read_index(self) -> dict:
-        try:
-            payload = json.loads(self._index_path.read_text())
-        except (OSError, ValueError):
-            payload = None
-        if (not isinstance(payload, dict)
-                or not isinstance(payload.get("entries"), dict)):
-            return self._rebuild_index()
-        payload.setdefault("clock", 0)
-        return payload
-
-    def _rebuild_index(self) -> dict:
-        """Reconstruct the LRU index by scanning the shards (used when
-        ``index.json`` is missing or corrupt — the entries themselves
-        are the source of truth)."""
-        index: dict = {"clock": 0, "entries": {}}
-        for entry in self._shard_entries():
-            meta = self._entry_meta(entry)
-            if meta is None:
+    def _scan(self) -> list[tuple[int, str, int]]:
+        """``(mtime_ns, digest, bytes)`` of every digest-named entry inside
+        its own shard, least recently used first."""
+        found = []
+        for shard in _listdir(self.root):
+            if len(shard) != 2:
                 continue
-            index["clock"] += 1
-            meta["used"] = index["clock"]
-            index["entries"][entry.stem] = meta
-        return index
-
-    @staticmethod
-    def _entry_meta(path: Path) -> dict | None:
-        """Index metadata for an entry file, or ``None`` if the file is
-        not a compatible cached report."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("schema_version") != SCHEMA_VERSION):
-            return None
-        job = payload.get("job") or {}
-        return {
-            "bytes": path.stat().st_size,
-            "kernel": job.get("kernel", "?"),
-            "scenario": job.get("scenario", "?"),
-            "scale": job.get("scale", "?"),
-            "studies": job.get("studies", []),
-        }
-
-    @contextmanager
-    def _index(self) -> Iterator[dict]:
-        """Exclusive read-modify-write access to the on-disk index."""
-        with self._mutex, exclusive_lock(self._lock_path):
-            index = self._read_index()
-            yield index
-            atomic_write_bytes(self._index_path,
-                               json.dumps(index, sort_keys=True).encode())
-            metrics.gauge("serve.cache.bytes").set(float(sum(
-                meta.get("bytes", 0) for meta in index["entries"].values()
-            )))
+            for name in _listdir(self.root / shard):
+                if not _DIGEST_NAME.match(name) or not name.startswith(shard):
+                    continue
+                try:
+                    stat = (self.root / shard / name).stat()
+                except OSError:  # removed by a concurrent evict or clear
+                    continue
+                found.append((stat.st_mtime_ns, name.removesuffix(".json"),
+                              stat.st_size))
+        return sorted(found)
 
     # -- load / save ----------------------------------------------------
 
     def load(self, job: "Job") -> KernelReport | None:
         """The cached report for *job*, or ``None`` on any miss
         (absent, unreadable, or written by an incompatible schema)."""
-        digest = job_digest(job)
-        try:
-            payload = json.loads(self.shard_path(digest).read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema_version") != SCHEMA_VERSION:
+        path = self.path(job)
+        payload = _read(path)
+        if payload is None:
             return None
         record = payload.get("report")
         if not isinstance(record, dict) or "kernel" not in record:
@@ -260,19 +225,8 @@ class ResultStore:
         report = KernelReport.from_dict(record)
         if report.error is not None:
             return None
-        self._touch(digest)
+        _stamp(path)
         return report
-
-    def _touch(self, digest: str) -> None:
-        with self._index() as index:
-            meta = index["entries"].get(digest)
-            if meta is None:  # on disk but unindexed; adopt it
-                meta = self._entry_meta(self.shard_path(digest))
-                if meta is None:
-                    return
-                index["entries"][digest] = meta
-            index["clock"] += 1
-            meta["used"] = index["clock"]
 
     def save(self, job: "Job", report: KernelReport) -> Path | None:
         """Cache *report* under *job*'s digest (no-op for failures),
@@ -280,77 +234,72 @@ class ResultStore:
         if report.error is not None:
             return None
         key = job_key(job)
-        digest = _key_digest(key)
-        path = self.shard_path(digest)
+        path = self.shard_path(_key_digest(key))
         payload = {
             "schema_version": SCHEMA_VERSION,
             "job": key,
             "report": asdict(report),
         }
-        atomic_write_bytes(path, json.dumps(payload, indent=2,
-                                            sort_keys=True).encode())
-        with self._index() as index:
-            index["clock"] += 1
-            index["entries"][digest] = {
-                "bytes": path.stat().st_size,
-                "kernel": key["kernel"],
-                "scenario": key["scenario"],
-                "scale": key["scale"],
-                "studies": key["studies"],
-                "used": index["clock"],
-            }
-            self._evict_lru(index)
+        data = json.dumps(payload, indent=2, sort_keys=True).encode()
+        try:
+            atomic_write_bytes(path, data)
+        except FileNotFoundError:  # a concurrent clear removed the shard
+            atomic_write_bytes(path, data)
+        _stamp(path)
+        self.evict()
         return path
 
     # -- budget / eviction ---------------------------------------------
 
-    def _over_budget(self, index: dict) -> bool:
-        entries = index["entries"]
-        if self.max_entries is not None and len(entries) > self.max_entries:
-            return True
-        if self.max_bytes is not None:
-            total = sum(meta.get("bytes", 0) for meta in entries.values())
-            if total > self.max_bytes:
-                return True
-        return False
-
-    def _evict_lru(self, index: dict) -> tuple[int, int]:
-        """Drop least-recently-used entries of a held *index* until
-        within budget; returns ``(entries, bytes)`` removed."""
-        removed = freed = 0
-        if self.max_bytes is None and self.max_entries is None:
-            return removed, freed
-        entries = index["entries"]
-        for digest in sorted(entries, key=lambda d: entries[d].get("used", 0)):
-            if not self._over_budget(index):
-                break
-            meta = entries.pop(digest)
-            self.shard_path(digest).unlink(missing_ok=True)
-            removed += 1
-            freed += meta.get("bytes", 0)
-        if removed:
-            metrics.counter("serve.cache.evictions").inc(removed)
-        return removed, freed
+    def _over_budget(self, entries: int, size: int) -> bool:
+        return ((self.max_entries is not None and entries > self.max_entries)
+                or (self.max_bytes is not None and size > self.max_bytes))
 
     def evict(self) -> tuple[int, int]:
         """Drop least-recently-used entries until within budget; returns
         ``(entries, bytes)`` removed."""
-        with self._index() as index:
-            return self._evict_lru(index)
+        scan = self._scan()
+        entries, size = len(scan), sum(entry[2] for entry in scan)
+        removed = freed = 0
+        for _used, digest, entry_bytes in scan:
+            if not self._over_budget(entries - removed, size - freed):
+                break
+            self.shard_path(digest).unlink(missing_ok=True)
+            removed += 1
+            freed += entry_bytes
+        if removed:
+            metrics.counter("serve.cache.evictions").inc(removed)
+        metrics.gauge("serve.cache.bytes").set(float(size - freed))
+        return removed, freed
 
     # -- maintenance (repro cache {list,gc}) ----------------------------
 
+    def usage(self) -> tuple[int, int]:
+        """``(entries, bytes)`` on disk, from ``stat`` alone."""
+        scan = self._scan()
+        return len(scan), sum(entry[2] for entry in scan)
+
     def total_bytes(self) -> int:
-        with self._index() as index:
-            return sum(meta.get("bytes", 0)
-                       for meta in index["entries"].values())
+        return self.usage()[1]
 
     def entries(self) -> list[dict]:
-        """Index metadata for every cached report, most recent first."""
-        with self._index() as index:
-            found = [{"digest": digest, **meta}
-                     for digest, meta in index["entries"].items()]
-        found.sort(key=lambda meta: -meta.get("used", 0))
+        """Listing fields of every servable cached report, most recently
+        used first; ``used`` is the entry's recency stamp (ns)."""
+        found = []
+        for used, digest, size in reversed(self._scan()):
+            payload = _read(self.shard_path(digest))
+            if payload is None:
+                continue
+            job = payload.get("job") or {}
+            found.append({
+                "digest": digest,
+                "bytes": size,
+                "kernel": job.get("kernel", "?"),
+                "scenario": job.get("scenario", "?"),
+                "scale": job.get("scale", "?"),
+                "studies": job.get("studies", []),
+                "used": used,
+            })
         return found
 
     def gc(self, everything: bool = False) -> tuple[int, int]:
@@ -358,48 +307,31 @@ class ResultStore:
         ``(entries, bytes)`` removed.
 
         Unservable means unreadable or written by a different report
-        schema.  Orphan files (on disk but unindexed) are adopted into
-        the index; orphan index rows (no file) are dropped.
-        ``everything=True`` clears the store.
+        schema.  ``everything=True`` clears the store.
         """
         if everything:
             freed = self.total_bytes()
             return self.clear(), freed
         removed = freed = 0
-        with self._index() as index:
-            entries = index["entries"]
-            on_disk = {path.stem: path for path in self._shard_entries()}
-            for digest in list(entries):
-                if digest not in on_disk:
-                    del entries[digest]
-            for digest, path in on_disk.items():
-                meta = self._entry_meta(path)
-                if meta is None:  # stale schema / corrupt: unservable
-                    freed += path.stat().st_size
-                    path.unlink(missing_ok=True)
-                    entries.pop(digest, None)
-                    removed += 1
-                elif digest not in entries:
-                    index["clock"] += 1
-                    meta["used"] = index["clock"]
-                    entries[digest] = meta
-            evicted, evicted_bytes = self._evict_lru(index)
+        for _used, digest, size in self._scan():
+            path = self.shard_path(digest)
+            if _read(path) is None:
+                path.unlink(missing_ok=True)
+                removed += 1
+                freed += size
+        evicted, evicted_bytes = self.evict()
         return removed + evicted, freed + evicted_bytes
 
     def clear(self) -> int:
-        """Delete every cached report and the index; returns the number
-        of entries removed.  Foreign files under the root survive, and so
-        does any shard directory they keep non-empty."""
-        if not self.root.is_dir():
-            return 0
-        with self._mutex, exclusive_lock(self._lock_path):
-            found = self._shard_entries()
-            for path in found:
-                path.unlink(missing_ok=True)
-            for shard in {path.parent for path in found}:
-                try:
-                    shard.rmdir()
-                except OSError:  # still holds files the store doesn't own
-                    pass
-            self._index_path.unlink(missing_ok=True)
-        return len(found)
+        """Delete every cached report; returns the number of entries
+        removed.  Foreign files under the root survive, and so does any
+        shard directory they keep non-empty."""
+        digests = [digest for _used, digest, _size in self._scan()]
+        for digest in digests:
+            self.shard_path(digest).unlink(missing_ok=True)
+        for shard in {digest[:2] for digest in digests}:
+            try:
+                (self.root / shard).rmdir()
+            except OSError:  # still holds files the store doesn't own
+                pass
+        return len(digests)

@@ -10,7 +10,6 @@ Importing this package registers all kernels:
 from repro.kernels.base import (
     BACKENDS,
     GPU,
-    KERNEL_CLASSES,
     KERNEL_REGISTRY,
     SCALAR,
     VECTORIZED,
@@ -45,7 +44,7 @@ SUITE_KERNELS = ("gssw", "gbwt", "gbv", "gwfa-lr", "gwfa-cr", "tc", "pgsgd", "ts
 CPU_KERNELS = ("gssw", "gbv", "gbwt", "gwfa-cr", "gwfa-lr", "pgsgd", "tc")
 
 __all__ = [
-    "BACKENDS", "GPU", "KERNEL_CLASSES", "KERNEL_REGISTRY", "SCALAR",
+    "BACKENDS", "GPU", "KERNEL_REGISTRY", "SCALAR",
     "VECTORIZED", "Kernel", "KernelResult", "create_kernel",
     "kernel_backends", "kernel_names", "register", "resolve_backend",
     "GBVKernel", "extract_gbv_inputs",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.backends import BACKENDS, GPU, SCALAR, VECTORIZED
 from repro.data import DatasetSpec, SuiteData, default_store, scenario_spec
@@ -32,7 +31,7 @@ from repro.uarch.events import NULL_PROBE, MachineProbe
 
 __all__ = [
     "BACKENDS", "GPU", "SCALAR", "VECTORIZED",
-    "KERNEL_CLASSES", "KERNEL_REGISTRY", "Kernel", "KernelResult",
+    "KERNEL_REGISTRY", "Kernel", "KernelResult",
     "create_kernel", "kernel_backends", "kernel_names", "register",
     "resolve_backend",
 ]
@@ -167,10 +166,9 @@ def _validate_backend(cls: type[Kernel], backend: str | None) -> str:
     return backend
 
 
-#: name -> factory (scale, seed, scenario, backend) -> Kernel
-KERNEL_REGISTRY: dict[str, Callable[..., Kernel]] = {}
-#: name -> kernel class, for backend resolution without instantiation.
-KERNEL_CLASSES: dict[str, type[Kernel]] = {}
+#: name -> kernel class; ``cls(scale=, seed=, scenario=, backend=)``
+#: builds a kernel, and the class answers backend resolution without one.
+KERNEL_REGISTRY: dict[str, type[Kernel]] = {}
 
 
 def register(cls: type[Kernel]) -> type[Kernel]:
@@ -183,20 +181,15 @@ def register(cls: type[Kernel]) -> type[Kernel]:
         raise KernelError(
             f"kernel {cls.name!r} default backend {cls.DEFAULT_BACKEND!r} "
             f"is not in SUPPORTED_BACKENDS {cls.SUPPORTED_BACKENDS}")
-    KERNEL_REGISTRY[cls.name] = (
-        lambda scale=1.0, seed=0, scenario="default", backend=None: cls(
-            scale=scale, seed=seed, scenario=scenario, backend=backend
-        )
-    )
-    KERNEL_CLASSES[cls.name] = cls
+    KERNEL_REGISTRY[cls.name] = cls
     return cls
 
 
 def _kernel_class(name: str) -> type[Kernel]:
     try:
-        return KERNEL_CLASSES[name]
+        return KERNEL_REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(KERNEL_CLASSES))
+        known = ", ".join(sorted(KERNEL_REGISTRY))
         raise KernelError(f"unknown kernel {name!r}; known: {known}") from None
 
 
@@ -204,12 +197,8 @@ def create_kernel(name: str, scale: float = 1.0, seed: int = 0,
                   scenario: str = "default",
                   backend: str | None = None) -> Kernel:
     """Instantiate a registered kernel by name."""
-    try:
-        factory = KERNEL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(KERNEL_REGISTRY))
-        raise KernelError(f"unknown kernel {name!r}; known: {known}") from None
-    return factory(scale, seed, scenario, backend)
+    return _kernel_class(name)(scale=scale, seed=seed, scenario=scenario,
+                               backend=backend)
 
 
 def resolve_backend(name: str, backend: str | None = None) -> str:

@@ -3,7 +3,7 @@
 :class:`BenchService` turns the batch-shaped harness (compile a plan,
 execute it, collect reports) into a long-running service::
 
-    with BenchService(workers=4) as service:
+    with BenchService(workers=4, store=ResultStore()) as service:
         handle = service.submit("gbwt", studies=("timing",), scale=0.25)
         handle.poll()            # JobStatus(state="queued"/"running"/...)
         report = handle.wait()   # the KernelReport, when it lands
@@ -21,9 +21,10 @@ Four mechanisms stack on top of the existing executor:
   to it and share the one execution (the dataset store's build-once
   double-check pattern, lifted to runs).  ``serve.coalesced`` vs
   ``serve.executed`` proves the dedup.
-* **Result caching** — completed reports land in a
-  :class:`~repro.harness.store.ResultStore`; a submission whose
-  digest is already cached resolves immediately (``serve.cache_hits``).
+* **Result caching** — completed reports land in the service's
+  :class:`~repro.harness.store.ResultStore`, if it has one; a
+  submission whose digest is already cached resolves immediately
+  (``serve.cache_hits``).
 * **Admission control** — the queue has a high-water mark; a submission
   past it raises :class:`~repro.errors.ServiceOverloaded` carrying a
   ``retry_after`` estimate derived from the moving-average execution
@@ -193,11 +194,10 @@ class BenchService:
       executor's failure-isolated pool; ``"inline"`` runs them on the
       worker thread (fast and deterministic; no timeout enforcement,
       best with ``workers=1`` or an injected ``runner``).
-    * ``store`` — the report cache; ``None`` means a
-      :class:`~repro.harness.store.ResultStore` over the default cache
-      directory.
-      ``reuse=False`` disables caching entirely (every submission
-      executes or coalesces).
+    * ``store`` — the report cache, a
+      :class:`~repro.harness.store.ResultStore`; ``None`` (default)
+      disables caching entirely (every submission executes or
+      coalesces).
     * ``runner`` — test hook: a ``Job -> KernelReport`` callable
       replacing the engine execution path.
     * ``telemetry_port`` — when set, :meth:`start` binds a
@@ -211,7 +211,6 @@ class BenchService:
                  timeout: float | None = None,
                  isolation: str = "process",
                  store: ResultStore | None = None,
-                 reuse: bool = True,
                  runner=None,
                  autostart: bool = True,
                  telemetry_port: "int | None" = None) -> None:
@@ -223,8 +222,7 @@ class BenchService:
         self.max_queue = max_queue
         self.timeout = timeout
         self.isolation = isolation
-        self.store = (store if store is not None
-                      else ResultStore() if reuse else None)
+        self.store = store
         self.runner = runner
         self.telemetry_port = telemetry_port
         self.telemetry = None
@@ -540,8 +538,8 @@ class BenchService:
         store = self.store
         if store is not None:
             try:
-                cache = {"entries": len(store.entries()),
-                         "bytes": store.total_bytes()}
+                entries, size = store.usage()
+                cache = {"entries": entries, "bytes": size}
             except OSError:  # a scrape must not fail on store races
                 cache = {}
         return {

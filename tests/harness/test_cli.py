@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.data import ArtifactStore, use_store
-from repro.errors import SweepError
 from repro.harness.cli import build_parser, main
 from repro.harness.executor import compile_plan
 from repro.harness.store import ResultStore, job_digest
@@ -88,6 +87,17 @@ class TestCli:
         assert "fake-ok" in out and "ok" in out
         assert "fake-badoracle" in out and "FAILED" in out
         assert "oracle mismatch" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "nope"],
+        ["validate", "--kernels", "nope"],
+        ["trace", "nope"],
+    ], ids=["run", "validate", "trace"])
+    def test_unknown_kernel_is_a_one_line_error(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown kernel 'nope'")
+        assert err.count("\n") == 1
 
     def test_bad_study_rejected(self):
         with pytest.raises(SystemExit):
@@ -281,12 +291,14 @@ class TestSweepCli:
         assert "\tpaper\t" in lines[1]  # suite default is a paper cell
         assert "\tok\t" in lines[1]     # ... whose gates pass for real
 
-    def test_run_unknown_cell_fails_fast(self, tmp_path):
-        with pytest.raises(SweepError, match="no cell"):
-            main([
-                "sweep", "run", "--manifest", "suite", "--kernels", "tsu",
-                "--cells", "nope", "--dir", str(tmp_path),
-            ])
+    def test_run_unknown_cell_fails_fast(self, capsys, tmp_path):
+        assert main([
+            "sweep", "run", "--manifest", "suite", "--kernels", "tsu",
+            "--cells", "nope", "--dir", str(tmp_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no cell" in err
+        assert not list(tmp_path.iterdir())
 
     def test_comma_separated_kernel_lists(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"

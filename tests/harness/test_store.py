@@ -1,11 +1,17 @@
 """The cached result store: digests, round-trips, compatibility."""
 
+import itertools
 import json
+import os
+import sys
+import threading
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
 import repro
+from repro.harness import store as store_module
 from repro.harness.executor import Job
 from repro.harness.runner import SCHEMA_VERSION, KernelReport
 from repro.harness.store import ResultStore, job_digest, job_key
@@ -101,10 +107,11 @@ class TestGoldenDigests:
 
 class TestExistingCacheServed:
     def test_sharded_cache_on_disk_is_served_as_is(self, tmp_path):
-        """A cache laid out as ``<digest[:2]>/<digest>.json`` plus an
-        ``index.json`` LRU index is served and listed without being
-        rewritten.  The serve-layer name is the one every version of the
-        sharded store has answered to."""
+        """A cache laid out as ``<digest[:2]>/<digest>.json`` is served and
+        listed without being rewritten.  A legacy ``index.json`` LRU index
+        beside it is foreign data: left byte-identical.  The serve-layer
+        name is the one every version of the sharded store has answered
+        to."""
         from repro.serve import ShardedResultStore
 
         job = _job(seed=3)
@@ -119,7 +126,9 @@ class TestExistingCacheServed:
             "job": job_key(job),
             "report": asdict(report),
         }, indent=2, sort_keys=True))
-        (tmp_path / "index.json").write_text(json.dumps({
+        os.utime(entry, ns=(OLD_STAMP, OLD_STAMP))
+        legacy = tmp_path / "index.json"
+        legacy.write_text(json.dumps({
             "clock": 1,
             "entries": {digest: {
                 "bytes": entry.stat().st_size, "kernel": "gbwt",
@@ -128,14 +137,70 @@ class TestExistingCacheServed:
             }},
         }, sort_keys=True))
         written = entry.read_text()
+        legacy_bytes = legacy.read_bytes()
 
         store = ShardedResultStore(tmp_path)
         assert store.load(job) == report
         listed = store.entries()
         assert [meta["digest"] for meta in listed] == [digest]
         assert listed[0]["kernel"] == "gbwt"
-        assert listed[0]["used"] == 2  # the hit bumped the LRU clock
+        assert listed[0]["used"] > OLD_STAMP  # the hit moved it forward
         assert entry.read_text() == written
+        assert legacy.read_bytes() == legacy_bytes
+
+
+#: An mtime (ns) older than any stamp the store writes.
+OLD_STAMP = 10**18
+
+
+def _snapshot(root):
+    """``{relative path: (content, mtime_ns)}`` of everything under *root*
+    (directories read as ``None`` content)."""
+    return {
+        str(path.relative_to(root)): (
+            None if path.is_dir() else path.read_bytes(),
+            path.stat().st_mtime_ns,
+        )
+        for path in root.rglob("*")
+    }
+
+
+class TestRecency:
+    def test_hit_changes_nothing_but_the_entry_mtime(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = _job()
+        path = store.save(job, KernelReport(kernel="gbwt"))
+        os.utime(path, ns=(OLD_STAMP, OLD_STAMP))
+        before = _snapshot(tmp_path)
+        assert store.load(job) is not None
+        after = _snapshot(tmp_path)
+        name = str(path.relative_to(tmp_path))
+        entry_before, entry_after = before.pop(name), after.pop(name)
+        assert after == before
+        assert entry_after[0] == entry_before[0]
+        assert entry_after[1] > OLD_STAMP
+
+    def test_lru_order_holds_within_one_millisecond(self, tmp_path,
+                                                    monkeypatch):
+        """Save A, save B, hit A, save C with ``max_entries=2`` evicts B
+        even when all four calls land inside one millisecond (one tick
+        of a coarse filesystem clock).  A tie on mtime would fall to the
+        digest, which here orders A first."""
+        ticks = itertools.count(1_700_000_000_000_000_000, 1_000)
+        monkeypatch.setattr(store_module, "time",
+                            SimpleNamespace(time_ns=lambda: next(ticks)))
+        store = ResultStore(tmp_path, max_entries=2)
+        a, b = sorted([_job(seed=0), _job(seed=1)], key=job_digest)
+        c = _job(seed=2)
+        store.save(a, KernelReport(kernel="gbwt"))
+        store.save(b, KernelReport(kernel="gbwt"))
+        assert store.load(a) is not None
+        store.save(c, KernelReport(kernel="gbwt"))
+        stamps = [meta["used"] for meta in store.entries()]
+        assert max(stamps) - min(stamps) < 1_000_000
+        assert store.load(b) is None
+        assert store.load(a) is not None
+        assert store.load(c) is not None
 
 
 class TestStore:
@@ -206,6 +271,50 @@ class TestStore:
         job = _job()
         path = store.save(job, KernelReport(kernel="gbwt"))
         assert path == tmp_path / "alt" / job_digest(job)[:2] / path.name
+
+
+class TestConcurrency:
+    def test_threads_saving_loading_and_evicting_share_one_root(
+            self, tmp_path):
+        """With no lock, concurrent saves, hits, evictions and clears
+        never raise, never serve another job's (or a torn) report, and
+        leave the store within its budget."""
+        store = ResultStore(tmp_path, max_entries=4)
+        errors = []
+
+        def work(worker):
+            try:
+                jobs = [_job(seed=100 * worker + i) for i in range(12)]
+                for i, job in enumerate(jobs):
+                    store.save(job, KernelReport(kernel="gbwt", seed=job.seed))
+                    for seen in jobs[:i + 1]:
+                        report = store.load(seen)
+                        assert report is None or report.seed == seen.seed
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        def clear():
+            try:
+                for _ in range(200):
+                    store.clear()
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(worker,))
+                       for worker in range(4)]
+            threads.append(threading.Thread(target=clear))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.usage()[0] <= 4
 
 
 def _plant_foreign_data(root):

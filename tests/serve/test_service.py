@@ -195,7 +195,7 @@ class TestResultCaching:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         calls = []
         job = make_job(seed=6)
-        with BenchService(workers=1, isolation="inline", reuse=False,
+        with BenchService(workers=1, isolation="inline",
                           runner=counting_runner(calls)) as svc:
             svc.submit_job(job).wait(timeout=10)
             handle = svc.submit_job(job)

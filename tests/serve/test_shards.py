@@ -26,7 +26,6 @@ class TestShardedLayout:
         digest = job_digest(job)
         assert path == tmp_path / digest[:2] / f"{digest}.json"
         assert path.is_file()
-        assert (tmp_path / "index.json").is_file()
 
     def test_load_roundtrip_across_instances(self, tmp_path):
         job = make_job(seed=11)
@@ -116,13 +115,6 @@ class TestIndexResilience:
         assert len(fresh.entries()) == 3
         for job in jobs:
             assert fresh.load(job) is not None
-
-    def test_missing_index_is_rebuilt(self, tmp_path):
-        store = ResultStore(tmp_path)
-        jobs = populate(store, 2)
-        (tmp_path / "index.json").unlink()
-        assert len(ResultStore(tmp_path).entries()) == 2
-        assert ResultStore(tmp_path).load(jobs[0]) is not None
 
 
 class TestGC:

@@ -20,7 +20,7 @@ class TestCrossProcessStitching:
         tracer = Tracer()
         with trace.use(tracer):
             with BenchService(workers=1, isolation="process",
-                              store=None, reuse=False) as service:
+                              store=None) as service:
                 handle = service.submit("fake-ok", studies=("timing",),
                                         scale=0.05)
                 report = handle.wait(timeout=60)
@@ -57,7 +57,7 @@ class TestCrossProcessStitching:
         tracer = Tracer()
         with trace.use(tracer):
             with BenchService(workers=1, isolation="process",
-                              store=None, reuse=False) as service:
+                              store=None) as service:
                 first = service.submit("fake-ok", scale=0.05, seed=1)
                 second = service.submit("fake-ok", scale=0.05, seed=2)
                 first.wait(timeout=60)
@@ -73,7 +73,7 @@ class TestLinkSpans:
         tracer = Tracer()
         with trace.use(tracer):
             service = BenchService(workers=1, isolation="inline",
-                                   store=None, reuse=False,
+                                   store=None,
                                    runner=ok_report, autostart=False)
             leader = service.submit_job(make_job(seed=7))
             follower = service.submit_job(make_job(seed=7))

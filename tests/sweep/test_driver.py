@@ -244,7 +244,7 @@ class TestServicePath:
     def test_sweep_through_bench_service(self):
         plan = compile_sweep(mini(), kernels=("tc", "gbwt"),
                              cells=("p4-d1", "p8-d1"))
-        with BenchService(workers=1, isolation="inline", reuse=False,
+        with BenchService(workers=1, isolation="inline",
                           runner=ok_runner) as service:
             sweep = run_sweep(plan, service=service, timeout=30.0)
         assert len(sweep) == 4
