@@ -20,11 +20,12 @@ interpolated crossover point.  Update counts scale with graph size
 (annealing work is proportional to path steps), so the crossover is a
 property of the overheads and latencies, not of a fixed work budget.
 
-Each run appends an entry to ``BENCH_layout_crossover.json`` at the
-repo root — the committed trajectory the regression sentinel watches
-via ``repro obs check`` — and fails only if the crossover balloons
-against the best prior entry.  The models are deterministic, so the
-trajectory is stable run to run.
+Each run appends a ``kind: "modelled"`` entry to
+``BENCH_layout_crossover.json`` at the repo root through
+:func:`repro.obs.baseline.append_entry` — the committed trajectory the
+regression sentinel watches via ``repro obs check`` — and fails only if
+the crossover balloons against the best prior entry.  The models are
+deterministic, so the trajectory is stable run to run.
 
 Runs under plain pytest or standalone:
 ``PYTHONPATH=src python benchmarks/bench_layout_crossover.py``.
@@ -32,12 +33,8 @@ Runs under plain pytest or standalone:
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from _common import emit
 
-from _common import RESULTS_DIR, emit
-
-from repro import __version__
 from repro.analysis.report import render_table
 from repro.graph.builder import simulate_graph_pangenome
 from repro.layout.pgsgd import PGSGDParams
@@ -46,10 +43,7 @@ from repro.layout.pgsgd_gpu import (
     gpu_pgsgd_wall_model,
     pgsgd_layout_gpu,
 )
-
-#: Committed trajectory at the repo root (benchmarks/ is one level down).
-TRAJECTORY = Path(__file__).resolve().parent.parent / \
-    "BENCH_layout_crossover.json"
+from repro.obs.baseline import append_entry
 
 #: Modeled graph sizes (node counts), small toys through a
 #: chromosome-scale component whose layout array dwarfs the LLC.
@@ -110,7 +104,6 @@ def run_experiment() -> dict:
 
     crossover = _interpolated_crossover(points)
     return {
-        "version": __version__,
         "calibration": {
             "graph_nodes": gp.graph.node_count,
             "updates": gpu.layout.updates,
@@ -127,33 +120,7 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if the
-    crossover ballooned versus the best (lowest) prior entry."""
-    entries = _load_trajectory()
-    best = min((e["crossover_nodes"] for e in entries
-                if e.get("crossover_nodes")), default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "layout_crossover", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        ceiling = MAX_CROSSOVER_RATIO * best
-        assert entry["crossover_nodes"] <= ceiling, (
-            f"GPU crossover ballooned: {entry['crossover_nodes']} nodes "
-            f"vs best committed {best} (ceiling {ceiling:.0f})"
-        )
-
-
 def _emit(results: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_layout_crossover.json").write_text(
-        json.dumps(results, indent=2) + "\n")
     rows = [
         [p["nodes"], p["footprint_kb"], f"{p['cpu_ms']:.3f}",
          f"{p['gpu_ms']:.3f}", f"{p['speedup']:.2f}x",
@@ -195,8 +162,18 @@ def test_layout_crossover():
     # occupancy pinned by 44 regs/thread at block 1024.
     assert abs(results["calibration"]["theoretical_occupancy"] - 2 / 3) \
         < 0.01
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    # Fail only if the crossover ballooned versus the best (lowest)
+    # prior entry.
+    prior = append_entry("layout_crossover", results, kind="modelled")
+    print(f"trajectory: BENCH_layout_crossover.json ({len(prior) + 1} entries)")
+    best = min((e["crossover_nodes"] for e in prior
+                if e.get("crossover_nodes")), default=None)
+    if best is not None:
+        ceiling = MAX_CROSSOVER_RATIO * best
+        assert results["crossover_nodes"] <= ceiling, (
+            f"GPU crossover ballooned: {results['crossover_nodes']} nodes "
+            f"vs best committed {best} (ceiling {ceiling:.0f})"
+        )
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ materializes or recomputes the whole dataset).
 Two passes per scale: an untraced pass for honest wall time, then a
 ``tracemalloc`` pass for allocation peak (tracemalloc slows execution
 severely, so the traced pass contributes no timing).  Each run appends
-an entry to ``BENCH_scale_sweep.json`` at the repo root — the committed
+a ``kind: "measured"`` entry to ``BENCH_scale_sweep.json`` at the repo
+root through :func:`repro.obs.baseline.append_entry` — the committed
 trajectory the regression sentinel watches via ``repro obs check``.
 
 ``REPRO_SCALE_SWEEP_MAX`` caps the sweep (CI perf-smoke uses 1) without
@@ -24,23 +25,16 @@ changing the fit logic.  Runs under plain pytest or standalone:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
 import time
 import tracemalloc
-from pathlib import Path
 
-from _common import RESULTS_DIR
-
-from repro import __version__
 from repro.data import ArtifactStore, use_store
 from repro.data.streaming import streaming
 from repro.harness.runner import run_suite
-
-#: Committed trajectory at the repo root (benchmarks/ is one level down).
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_scale_sweep.json"
+from repro.obs.baseline import append_entry
 
 #: The streaming-enabled kernels (the ones whose derived inputs dominate
 #: memory at scale and arrive chunked under ``--stream``).
@@ -110,7 +104,6 @@ def run_experiment() -> dict:
         })
     scales = [r["scale"] for r in rows]
     return {
-        "version": __version__,
         "kernels": list(KERNELS),
         "points": rows,
         "wall_growth_exponent": round(
@@ -121,23 +114,7 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append(entry: dict) -> None:
-    entries = _load_trajectory()
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "scale_sweep", "entries": entries}, indent=2) + "\n")
-
-
 def _emit(results: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_scale_sweep.json").write_text(
-        json.dumps(results, indent=2) + "\n")
     print()
     print(f"{'scale':>6}{'wall s':>10}{'peak MB':>10}")
     for row in results["points"]:
@@ -159,8 +136,8 @@ def test_scale_sweep():
         f"peak memory grows as scale^{results['memory_growth_exponent']:.2f};"
         f" must stay sub-quadratic"
     )
-    _append(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    prior = append_entry("scale_sweep", results, kind="measured")
+    print(f"trajectory: BENCH_scale_sweep.json ({len(prior) + 1} entries)")
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ so early chunks exercise coalescing (duplicates land while the first
 occurrence is still running) and later chunks exercise the warm cache —
 one cold trace measures both paths.
 
-Each run appends an entry to ``BENCH_serve_load.json`` at the repo root
-(the committed trajectory) and fails only on a catastrophic regression
+Each run appends a ``kind: "measured"`` entry to ``BENCH_serve_load.json``
+at the repo root through :func:`repro.obs.baseline.append_entry` (the
+committed trajectory) and fails only on a catastrophic regression
 against the best prior entry, so CI noise cannot flake the build.
 
 Runs under plain pytest or standalone:
@@ -30,15 +31,12 @@ Runs under plain pytest or standalone:
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 
-from _common import RESULTS_DIR
-
-from repro import __version__
 from repro.harness.executor import _prebuild_datasets
 from repro.harness.store import ResultStore
+from repro.obs.baseline import append_entry
 from repro.serve import (
     BenchService,
     ReplayResult,
@@ -48,9 +46,6 @@ from repro.serve import (
     replay,
     working_set,
 )
-
-#: Committed trajectory at the repo root (benchmarks/ is one level down).
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_serve_load.json"
 
 #: The seeded request distribution under test.  1200 requests over a
 #: 12-job working set (4 kernels x 3 dataset seeds) keeps the replay
@@ -114,7 +109,6 @@ def run_experiment() -> dict:
 
     served_free = result.cache_hits + result.coalesced
     return {
-        "version": __version__,
         "requests": len(trace),
         "unique_jobs": unique,
         "workers": WORKERS,
@@ -136,32 +130,7 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if
-    throughput collapsed versus the best prior entry."""
-    entries = _load_trajectory()
-    best = max((e["requests_per_sec"] for e in entries), default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "serve_load", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        floor = MIN_THROUGHPUT_RATIO * best
-        assert entry["requests_per_sec"] >= floor, (
-            f"serve throughput collapsed: {entry['requests_per_sec']:.0f} "
-            f"req/s vs best committed {best:.0f} (floor {floor:.0f})"
-        )
-
-
 def _emit(results: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_serve_load.json").write_text(
-        json.dumps(results, indent=2) + "\n")
     print()
     for key in ("requests", "unique_jobs", "duplicate_fraction",
                 "p50_ms", "p99_ms", "cache_hit_rate", "coalesce_rate",
@@ -190,8 +159,16 @@ def test_serve_load():
     )
     # The bursts provably overlapped in-flight work.
     assert results["coalesced"] > 0, "no request ever coalesced"
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    # Fail only if throughput collapsed versus the best prior entry.
+    prior = append_entry("serve_load", results, kind="measured")
+    print(f"trajectory: BENCH_serve_load.json ({len(prior) + 1} entries)")
+    best = max((e["requests_per_sec"] for e in prior), default=None)
+    if best is not None:
+        floor = MIN_THROUGHPUT_RATIO * best
+        assert results["requests_per_sec"] >= floor, (
+            f"serve throughput collapsed: {results['requests_per_sec']:.0f} "
+            f"req/s vs best committed {best:.0f} (floor {floor:.0f})"
+        )
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ real executor twice against a fresh store and checks:
   kernels, GPU counters for TSU);
 * no grid point errors.
 
-Each run appends an entry to ``BENCH_sweep.json`` at the repo root (the
+Each run appends a ``kind: "measured"`` entry to ``BENCH_sweep.json`` at
+the repo root through :func:`repro.obs.baseline.append_entry` (the
 committed trajectory) and fails only on a catastrophic cold-throughput
 regression against the best prior entry, so CI noise cannot flake the
 build.
@@ -26,19 +27,13 @@ Runs under plain pytest or standalone:
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 from pathlib import Path
 
-from _common import RESULTS_DIR
-
-from repro import __version__
 from repro.harness.store import ResultStore
+from repro.obs.baseline import append_entry
 from repro.sweep import compile_sweep, run_sweep
-
-#: Committed trajectory at the repo root (benchmarks/ is one level down).
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 #: The grid under test: the committed 5-cell suite manifest times three
 #: kernels (two CPU shapes plus the GPU kernel) at a small scale — big
@@ -73,7 +68,6 @@ def run_experiment() -> dict:
     warm_origins = warm.origin_counts()
     paper_points = [r for r in cold.results if r.fidelity == "paper"]
     return {
-        "version": __version__,
         "manifest": MANIFEST,
         "kernels": list(KERNELS),
         "scale": SCALE,
@@ -92,32 +86,7 @@ def run_experiment() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if cold
-    grid throughput collapsed versus the best prior entry."""
-    entries = _load_trajectory()
-    best = max((e["cold_points_per_sec"] for e in entries), default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "sweep", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        floor = MIN_THROUGHPUT_RATIO * best
-        assert entry["cold_points_per_sec"] >= floor, (
-            f"sweep throughput collapsed: {entry['cold_points_per_sec']:.2f} "
-            f"points/s vs best committed {best:.2f} (floor {floor:.2f})"
-        )
-
-
 def _emit(results: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_sweep.json").write_text(
-        json.dumps(results, indent=2) + "\n")
     print()
     for key in ("grid_points", "paper_points", "cold_executed",
                 "cold_wall_seconds", "cold_points_per_sec", "warm_cached",
@@ -142,8 +111,17 @@ def test_sweep():
         f"{results['warm_cache_hit_rate']:.4f}"
     )
     assert results["paper_points"] >= 1
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    # Fail only if cold grid throughput collapsed versus the best prior
+    # entry.
+    prior = append_entry("sweep", results, kind="measured")
+    print(f"trajectory: BENCH_sweep.json ({len(prior) + 1} entries)")
+    best = max((e["cold_points_per_sec"] for e in prior), default=None)
+    if best is not None:
+        floor = MIN_THROUGHPUT_RATIO * best
+        assert results["cold_points_per_sec"] >= floor, (
+            f"sweep throughput collapsed: {results['cold_points_per_sec']:.2f} "
+            f"points/s vs best committed {best:.2f} (floor {floor:.2f})"
+        )
 
 
 if __name__ == "__main__":

@@ -11,9 +11,7 @@ load/store/branch/ALU program.
 Each stream runs twice on fresh :class:`TraceMachine` instances — once
 through scalar calls, once through the batch API — and the two resulting
 :class:`MachineSummary` objects must be identical (the differential
-guarantee the hypothesis suite enforces per-operation).  Results land in
-``benchmarks/results/BENCH_trace_throughput.json`` for the CI perf-smoke
-artifact.
+guarantee the hypothesis suite enforces per-operation).
 
 On top of the ingestion microbench, this bench times the *cold* 7-kernel
 characterization run (scale 0.25 under the topdown/cache/instmix
@@ -22,11 +20,11 @@ vectorization work moves — and the simulated instrument alone: the
 probe-call streams of the ``characterize`` workload's 8 CPU kernels are
 recorded once, untimed, and only their replay into fresh machines is
 timed (each replay must reproduce the live run's summary).  Each run
-appends one entry, stamped with the git revision, the host and
-``kind: "measured"``, to ``BENCH_trace_throughput.json`` at the repo
-root (the committed trajectory the regression sentinel watches via
-``repro obs check``) and fails only on a catastrophic regression
-against the best prior entry.
+appends one ``kind: "measured"`` entry to ``BENCH_trace_throughput.json``
+at the repo root through :func:`repro.obs.baseline.append_entry` (the
+committed trajectory the regression sentinel watches via ``repro obs
+check``) and fails only on a catastrophic regression against the best
+prior entry.
 
 Runs under plain pytest (no pytest-benchmark needed) or standalone:
 ``PYTHONPATH=src python benchmarks/bench_trace_throughput.py``.
@@ -35,25 +33,17 @@ Runs under plain pytest (no pytest-benchmark needed) or standalone:
 from __future__ import annotations
 
 import copy
-import json
-import platform
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
-from repro import __version__
 from repro.data import ArtifactStore, use_store
-from repro.harness.runner import run_metadata, run_suite
+from repro.harness.runner import run_suite
 from repro.kernels import create_kernel
+from repro.obs.baseline import append_entry
 from repro.uarch.events import MachineProbe, OpClass
 from repro.uarch.machine import TraceMachine
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Committed trajectory at the repo root (benchmarks/ is one level down).
-TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_trace_throughput.json"
 
 #: The paper's seven characterized CPU kernels and the studies the
 #: characterization chapters run them under.
@@ -188,7 +178,6 @@ def run_experiment() -> dict:
             "speedup": round(scalar_seconds / batched_seconds, 2),
         })
     return {
-        "version": __version__,
         "n_events_per_stream": N_EVENTS,
         "block_size": BLOCK,
         "streams": streams,
@@ -283,34 +272,7 @@ def run_instrument_replay() -> dict:
     }
 
 
-def _load_trajectory() -> list[dict]:
-    if not TRAJECTORY.exists():
-        return []
-    return json.loads(TRAJECTORY.read_text())["entries"]
-
-
-def _append_compare(entry: dict) -> None:
-    """Append *entry* to the committed trajectory; fail only if the
-    characterization run collapsed versus the best prior entry."""
-    entries = _load_trajectory()
-    best = min((e["characterization_wall_seconds"] for e in entries),
-               default=None)
-    entries.append(entry)
-    TRAJECTORY.write_text(json.dumps(
-        {"bench": "trace_throughput", "entries": entries}, indent=2) + "\n")
-    if best is not None:
-        ceiling = MAX_WALL_RATIO * best
-        assert entry["characterization_wall_seconds"] <= ceiling, (
-            f"cold characterization collapsed: "
-            f"{entry['characterization_wall_seconds']:.1f}s vs best "
-            f"committed {best:.1f}s (ceiling {ceiling:.1f}s)"
-        )
-
-
 def _emit(results: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_trace_throughput.json"
-    path.write_text(json.dumps(results, indent=2) + "\n")
     header = f"{'stream':<20}{'scalar ev/s':>14}{'batched ev/s':>14}{'speedup':>9}"
     print()
     print(header)
@@ -329,22 +291,30 @@ def _emit(results: dict) -> None:
           f"{results['instrument_replay_seconds']:.3f}s")
     for kernel, seconds in results["instrument_replay_kernel_seconds"].items():
         print(f"  {kernel:<10}{seconds:>8.3f}s")
-    print(f"saved {path}")
 
 
 def test_trace_throughput():
     results = run_experiment()
     results.update(run_characterization())
     results.update(run_instrument_replay())
-    results.update(git_sha=run_metadata()["git_sha"],
-                   host=platform.machine(), kind="measured")
     _emit(results)
     assert results["overall_speedup"] >= MIN_SPEEDUP, (
         f"batched ingestion only {results['overall_speedup']:.1f}x faster; "
         f"need >= {MIN_SPEEDUP:.0f}x"
     )
-    _append_compare(results)
-    print(f"trajectory: {TRAJECTORY} ({len(_load_trajectory())} entries)")
+    # Fail only if the characterization run collapsed versus the best
+    # prior entry.
+    prior = append_entry("trace_throughput", results, kind="measured")
+    print(f"trajectory: BENCH_trace_throughput.json ({len(prior) + 1} entries)")
+    best = min((e["characterization_wall_seconds"] for e in prior),
+               default=None)
+    if best is not None:
+        ceiling = MAX_WALL_RATIO * best
+        assert results["characterization_wall_seconds"] <= ceiling, (
+            f"cold characterization collapsed: "
+            f"{results['characterization_wall_seconds']:.1f}s vs best "
+            f"committed {best:.1f}s (ceiling {ceiling:.1f}s)"
+        )
 
 
 if __name__ == "__main__":

@@ -76,9 +76,6 @@ class PoaGraph:
     def node_count(self) -> int:
         return len(self._nodes)
 
-    def node_base(self, index: int) -> str:
-        return self._nodes[index].base
-
     def add_sequence(self, sequence: str, band: int | None = None) -> PoaAlignment | None:
         """Align *sequence* to the graph and fuse it in.
 

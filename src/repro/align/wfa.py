@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.align.scoring import AffineScoring
 from repro.errors import AlignmentError
 from repro.uarch.events import NULL_PROBE, MachineProbe, OpClass
 
@@ -123,14 +122,6 @@ class AffinePenalties:
     def __post_init__(self) -> None:
         if min(self.mismatch, self.gap_extend) <= 0 or self.gap_open < 0:
             raise ValueError("mismatch/gap_extend must be positive")
-
-    @classmethod
-    def from_scoring(cls, scoring: AffineScoring) -> "AffinePenalties":
-        return cls(
-            mismatch=scoring.mismatch,
-            gap_open=scoring.gap_open,
-            gap_extend=scoring.gap_extend,
-        )
 
 
 def wfa_affine(

@@ -36,10 +36,6 @@ class MachineModel:
     #: Usable memory-bandwidth multiple of one core's demand.
     bandwidth_cores: float = 12.0
 
-    @property
-    def max_threads(self) -> int:
-        return self.physical_cores * self.smt_per_core
-
     def effective_cores(self, threads: int) -> float:
         """Compute-throughput in units of one core."""
         physical = min(threads, self.physical_cores)

@@ -52,7 +52,6 @@ from repro.data.manifest import (
 )
 from repro.data.scenarios import (
     SCENARIO_REGISTRY,
-    Scenario,
     get_scenario,
     register_scenario,
     scenario_names,
@@ -79,7 +78,7 @@ def corpus(scenario: str = "default", scale: float = 1.0,
 
 __all__ = [
     "GENERATOR_VERSION", "DatasetSpec",
-    "SCENARIO_REGISTRY", "Scenario", "get_scenario", "register_scenario",
+    "SCENARIO_REGISTRY", "get_scenario", "register_scenario",
     "scenario_names", "scenario_spec",
     "Manifest", "ManifestCell", "available_manifests",
     "default_manifest_dir", "install_manifest", "load_manifest",

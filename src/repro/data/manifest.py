@@ -454,11 +454,5 @@ def install_manifest(manifest: Manifest | str | Path) -> Manifest:
                     "different content"
                 )
             continue
-        scenarios.register_scenario(scenarios.Scenario(
-            name=cell.name,
-            description=cell.description,
-            overrides=dict(cell.overrides),
-            fidelity=cell.fidelity,
-            axes=dict(cell.axes),
-        ))
+        scenarios.register_scenario(cell)
     return manifest

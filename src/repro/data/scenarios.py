@@ -1,9 +1,10 @@
 """The scenario registry: named corpora the suite can run against.
 
-A *scenario* is a named bundle of :class:`~repro.data.spec.DatasetSpec`
-parameter overrides — the graph-variation axes of Figure 11 and of
-*The design and construction of reference pangenome graphs* (sample
-count and divergence shape the graph) made selectable: ``repro run
+A *scenario* is a :class:`~repro.data.manifest.ManifestCell`: a named
+bundle of :class:`~repro.data.spec.DatasetSpec` parameter overrides —
+the graph-variation axes of Figure 11 and of *The design and
+construction of reference pangenome graphs* (sample count and
+divergence shape the graph) made selectable: ``repro run
 --scenario dense-pop`` re-runs any study against a different corpus,
 and the scenario name is threaded through :class:`KernelReport`
 metadata and the result store's cache key so per-scenario figures never
@@ -21,38 +22,15 @@ one-off workload programmatically is still one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.data.manifest import ManifestCell
 from repro.data.spec import DatasetSpec
 from repro.errors import DatasetError
 
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named corpus: description plus spec parameter overrides.
-
-    ``fidelity`` grades the cell (``"paper"`` cells are asserted against
-    the paper-shape gates during sweeps); ``axes`` records the manifest
-    grid coordinates the scenario expanded from, when it did.
-    """
-
-    name: str
-    description: str
-    overrides: dict = field(default_factory=dict)
-    fidelity: str = "bench"
-    axes: dict = field(default_factory=dict)
-
-    def spec(self, scale: float = 1.0, seed: int = 0) -> DatasetSpec:
-        """The scenario's :class:`DatasetSpec` at the given run axes."""
-        return DatasetSpec(scenario=self.name, scale=scale, seed=seed,
-                           **self.overrides)
+#: name -> ManifestCell, in registration order (display order).
+SCENARIO_REGISTRY: dict[str, ManifestCell] = {}
 
 
-#: name -> Scenario, in registration order (display order).
-SCENARIO_REGISTRY: dict[str, Scenario] = {}
-
-
-def register_scenario(scenario: Scenario) -> Scenario:
+def register_scenario(scenario: ManifestCell) -> ManifestCell:
     """Add *scenario* to the registry (unique names enforced)."""
     if not scenario.name:
         raise DatasetError("scenario has no name")
@@ -63,7 +41,7 @@ def register_scenario(scenario: Scenario) -> Scenario:
     return scenario
 
 
-def get_scenario(name: str) -> Scenario:
+def get_scenario(name: str) -> ManifestCell:
     """Look up a registered scenario by name."""
     try:
         return SCENARIO_REGISTRY[name]

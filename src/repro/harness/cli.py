@@ -46,7 +46,7 @@ from repro.data import (
     scenario_spec,
 )
 from repro.errors import ReproError
-from repro.harness.runner import run_kernel_studies, run_suite, save_reports
+from repro.harness.runner import run_suite, save_reports
 from repro.harness.store import ResultStore
 from repro.harness.studies import study_names
 from repro.kernels import (
@@ -568,14 +568,14 @@ def _command_trace(args: argparse.Namespace) -> int:
     tracer = Tracer()
     registry = obs_metrics.MetricsRegistry()
     with trace.use(tracer), obs_metrics.use(registry):
-        report = run_kernel_studies(
-            args.kernel,
+        report = run_suite(
+            (args.kernel,),
             studies=TRACE_STUDIES,
             scale=args.scale,
             seed=args.seed,
             cache_config=MACHINES[args.machine],
             scenario=args.scenario,
-        )
+        )[args.kernel]
     records = tracer.records()
     print(render_tree(
         records,
@@ -607,7 +607,10 @@ def _command_trace(args: argparse.Namespace) -> int:
         write_chrome_trace(records, args.trace_out)
         print(f"\ntrace written to {args.trace_out} "
               "(open in https://ui.perfetto.dev)")
-    return 1 if report.error else 0
+    if report.error:
+        print(f"error: {args.kernel}: {report.error}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _command_validate(args: argparse.Namespace) -> int:

@@ -33,7 +33,8 @@ out from them:
   ``"job"`` key for the kernel, scenario, scale and studies.
 
 The store owns only digest-named entries inside their two-hex shard
-directories; anything else under the root is left alone.  Failed reports
+directories, and removes a shard directory once it is empty; anything
+else under the root is left alone.  Failed reports
 (``report.error`` set) are never cached: a crash or timeout should
 re-execute on the next run, not stick.  Entries are written atomically
 (temp file + rename), so concurrent readers and writers in other
@@ -62,6 +63,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: ``<digest>.json`` filenames the store owns inside a shard.
 _DIGEST_NAME = re.compile(r"^[0-9a-f]{16}\.json$")
+
+#: Two-hex shard directory names.
+_SHARD_NAME = re.compile(r"^[0-9a-f]{2}$")
+
+#: Writes a save tries: an evict or clear elsewhere removes a shard as
+#: soon as it is empty, which can fall between the save creating the
+#: shard and writing into it.
+_SAVE_ATTEMPTS = 8
 
 
 def default_cache_dir() -> Path:
@@ -156,6 +165,14 @@ def _listdir(path: Path) -> list[str]:
         return []
 
 
+def _rmdir(path: Path) -> None:
+    """Remove directory *path* if it is empty."""
+    try:
+        path.rmdir()
+    except OSError:  # missing, or still holds files
+        pass
+
+
 def _stamp(path: Path) -> None:
     """Mark the entry at *path* as the most recently used."""
     now = time.time_ns()
@@ -191,6 +208,12 @@ class ResultStore:
 
     def path(self, job: "Job") -> Path:
         return self.shard_path(job_digest(job))
+
+    def _remove(self, digest: str) -> None:
+        """Unlink entry *digest*, and its shard if that emptied it."""
+        path = self.shard_path(digest)
+        path.unlink(missing_ok=True)
+        _rmdir(path.parent)
 
     def _scan(self) -> list[tuple[int, str, int]]:
         """``(mtime_ns, digest, bytes)`` of every digest-named entry inside
@@ -241,10 +264,13 @@ class ResultStore:
             "report": asdict(report),
         }
         data = json.dumps(payload, indent=2, sort_keys=True).encode()
-        try:
-            atomic_write_bytes(path, data)
-        except FileNotFoundError:  # a concurrent clear removed the shard
-            atomic_write_bytes(path, data)
+        for attempt in range(1, _SAVE_ATTEMPTS + 1):
+            try:
+                atomic_write_bytes(path, data)
+                break
+            except FileNotFoundError:  # a concurrent removal took the shard
+                if attempt == _SAVE_ATTEMPTS:
+                    raise
         _stamp(path)
         self.evict()
         return path
@@ -264,7 +290,7 @@ class ResultStore:
         for _used, digest, entry_bytes in scan:
             if not self._over_budget(entries - removed, size - freed):
                 break
-            self.shard_path(digest).unlink(missing_ok=True)
+            self._remove(digest)
             removed += 1
             freed += entry_bytes
         if removed:
@@ -314,24 +340,22 @@ class ResultStore:
             return self.clear(), freed
         removed = freed = 0
         for _used, digest, size in self._scan():
-            path = self.shard_path(digest)
-            if _read(path) is None:
-                path.unlink(missing_ok=True)
+            if _read(self.shard_path(digest)) is None:
+                self._remove(digest)
                 removed += 1
                 freed += size
         evicted, evicted_bytes = self.evict()
         return removed + evicted, freed + evicted_bytes
 
     def clear(self) -> int:
-        """Delete every cached report; returns the number of entries
-        removed.  Foreign files under the root survive, and so does any
-        shard directory they keep non-empty."""
+        """Delete every cached report and every empty shard directory
+        (earlier versions left emptied shards behind); returns the number
+        of entries removed.  Foreign files under the root survive, and so
+        does any shard directory they keep non-empty."""
         digests = [digest for _used, digest, _size in self._scan()]
         for digest in digests:
-            self.shard_path(digest).unlink(missing_ok=True)
-        for shard in {digest[:2] for digest in digests}:
-            try:
-                (self.root / shard).rmdir()
-            except OSError:  # still holds files the store doesn't own
-                pass
+            self._remove(digest)
+        for shard in _listdir(self.root):
+            if _SHARD_NAME.match(shard):
+                _rmdir(self.root / shard)
         return len(digests)

@@ -218,12 +218,6 @@ class GBWT:
     def total_visits(self) -> int:
         return sum(len(record.successors) for record in self._records.values())
 
-    def path_name(self, path_index: int) -> str:
-        return self._names[path_index]
-
-    def contains_node(self, node_id: int) -> bool:
-        return node_id in self._records
-
     def full_state(self, node_id: int) -> GBWTState:
         """State covering every visit of *node_id* (empty if absent)."""
         record = self._records.get(node_id)
@@ -292,7 +286,3 @@ class GBWT:
             path_index, step_index = record.positions[index]
             out.append((self._names[path_index], step_index))
         return sorted(out)
-
-    def count_occurrences(self, node_sequence: Sequence[int]) -> int:
-        """Occurrences of *node_sequence* across all haplotype paths."""
-        return self.find(node_sequence).size

@@ -249,10 +249,6 @@ class GraphMinimizerIndex:
     def distinct_minimizers(self) -> int:
         return len(self._table)
 
-    @property
-    def total_hits(self) -> int:
-        return sum(len(hits) for hits in self._table.values())
-
 
 def _find_step(starts: list[int], position: int) -> int:
     """Index of the path step containing linear *position* (binary search)."""

@@ -56,10 +56,6 @@ class PathIndex:
     def path_count(self) -> int:
         return len(self._steps)
 
-    @property
-    def total_steps(self) -> int:
-        return sum(len(steps) for steps in self._steps)
-
     def path_length(self, path_index: int) -> int:
         return self._lengths[path_index]
 

@@ -1,10 +1,15 @@
 """The perf-regression sentinel: robust baselines over trajectories.
 
 The repo-root ``BENCH_*.json`` files accumulate one entry per
-benchmarked build (the trajectory benches in ``benchmarks/`` append
-them), which makes speed regressions visible PR-over-PR — *if* someone
-looks.  This module is the automated looker: for each tracked series it
-takes the trailing window of historical entries, computes a robust
+benchmarked build, which makes speed regressions visible PR-over-PR —
+*if* someone looks.  This module owns their format: the trajectory
+benches in ``benchmarks/`` append through :func:`append_entry`, which
+stamps every entry with the package version, git revision, host and
+whether the numbers are measured or modelled, and everything reads
+through :func:`trajectory_entries`.
+
+It is also the automated looker: for each tracked series it takes the
+trailing window of historical entries, computes a robust
 baseline (median ± MAD — a single outlier build cannot poison it), and
 classifies the newest entry ``ok`` / ``warn`` / ``regress`` against
 per-metric ratio thresholds.  ``repro obs check`` renders the table,
@@ -35,11 +40,14 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from repro import __version__
 from repro.errors import ReproError
+from repro.harness.runner import run_metadata
 
 #: Trailing history entries a baseline is computed over.
 DEFAULT_WINDOW = 8
@@ -53,6 +61,10 @@ _SEVERITY = {"ok": 0, "no-history": 0, "missing": 0, "warn": 1, "regress": 2}
 #: MAD multipliers for the additive guard (warn, regress).
 MAD_WARN = 3.0
 MAD_REGRESS = 6.0
+
+#: What a trajectory entry's numbers are: timed on the recorded host,
+#: or computed from a model.
+TRAJECTORY_KINDS = ("measured", "modelled")
 
 
 @dataclass(frozen=True)
@@ -209,15 +221,11 @@ def classify(history: Sequence[float], value: float,
 def series_values(root: Path, spec: SeriesSpec) -> "list[float] | None":
     """The trajectory values for *spec* under *root*, oldest first;
     None when the trajectory file is absent."""
-    path = root / spec.file
-    if not path.exists():
+    if not (root / spec.file).exists():
         return None
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as error:
-        raise ReproError(f"trajectory {path} is not JSON: {error}")
+    name = spec.file.removeprefix("BENCH_").removesuffix(".json")
     values = []
-    for entry in payload.get("entries", []):
+    for entry in trajectory_entries(name, root):
         raw = entry.get(spec.field)
         if isinstance(raw, (int, float)):
             values.append(float(raw))
@@ -227,6 +235,46 @@ def series_values(root: Path, spec: SeriesSpec) -> "list[float] | None":
 def repo_root() -> Path:
     """The checkout root (where the BENCH_*.json trajectories live)."""
     return Path(__file__).resolve().parents[3]
+
+
+def _trajectory_path(name: str, root: "str | Path | None") -> Path:
+    return (Path(root) if root is not None else repo_root()) / \
+        f"BENCH_{name}.json"
+
+
+def trajectory_entries(name: str,
+                       root: "str | Path | None" = None) -> list[dict]:
+    """The entries of ``BENCH_<name>.json`` under *root* (the checkout
+    by default), oldest first; ``[]`` when the file is absent."""
+    path = _trajectory_path(name, root)
+    if not path.exists():
+        return []
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as error:
+        raise ReproError(f"trajectory {path} is not JSON: {error}")
+    return payload.get("entries", [])
+
+
+def append_entry(name: str, entry: dict, kind: str,
+                 root: "str | Path | None" = None) -> list[dict]:
+    """Stamp *entry* and append it to ``BENCH_<name>.json`` under *root*.
+
+    The stamps say what produced the numbers: the package ``version``,
+    the ``git_sha``, the ``host`` architecture, and ``kind`` —
+    ``"measured"`` for timed runs, ``"modelled"`` for analytic ones.
+    Returns the entries that were there before, for the caller's guard.
+    """
+    if kind not in TRAJECTORY_KINDS:
+        raise ReproError(f"trajectory kind must be one of "
+                         f"{TRAJECTORY_KINDS}, got {kind!r}")
+    prior = trajectory_entries(name, root)
+    stamped = {**entry, "version": __version__,
+               "git_sha": run_metadata()["git_sha"],
+               "host": platform.machine(), "kind": kind}
+    _trajectory_path(name, root).write_text(json.dumps(
+        {"bench": name, "entries": [*prior, stamped]}, indent=2) + "\n")
+    return prior
 
 
 def check_trajectories(

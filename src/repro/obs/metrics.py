@@ -261,12 +261,6 @@ def current_registry() -> MetricsRegistry:
     return _current
 
 
-def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
-    global _current
-    _current = registry if registry is not None else MetricsRegistry()
-    return _current
-
-
 @contextmanager
 def use(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """Install *registry* as current for the duration of the block."""

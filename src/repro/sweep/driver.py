@@ -10,21 +10,18 @@ kernel or study fails before anything runs.  Cells the manifest flags
 gates need (:mod:`repro.sweep.gates`), and every paper-cell report is
 gate-checked when results come back.
 
-``run_sweep`` gets each grid point's report one of three ways:
+``run_sweep`` gets each grid point's report one of two ways:
 
 * through :func:`~repro.harness.executor.execute_jobs` (the default) —
   the same failure-isolated pool, result cache, and per-job timeouts
   ``repro run`` uses;
-* through a running :class:`~repro.serve.BenchService` (``service=``) —
-  submissions coalesce and share the service's cache, so a sweep and
-  interactive clients dedupe against each other;
 * through a ``runner`` callable (``Job -> KernelReport``) — the test
-  hook, mirroring :class:`BenchService`'s.
+  hook, mirroring :class:`~repro.serve.BenchService`'s.
 
-All three yield :class:`~repro.harness.executor.JobOutcome`\\ s, which
+Both yield :class:`~repro.harness.executor.JobOutcome`\\ s, which
 become a flat list of :class:`CellResult`\\ s — one per grid point, each
-carrying its report, its origin (``executed`` / ``cached`` /
-``coalesced``), and any gate violations — which
+carrying its report, its origin (``executed`` / ``cached``), and any
+gate violations — which
 :mod:`repro.analysis.aggregate` folds into summary tables and
 leaderboards.  ``save_sweep``/``load_sweep`` round-trip the whole thing
 through ``sweep.json``.
@@ -56,7 +53,6 @@ from repro.uarch.cache import MACHINE_B, CacheConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.store import ResultStore
-    from repro.serve.service import BenchService
 
 
 @dataclass(frozen=True)
@@ -288,16 +284,13 @@ def run_sweep(
     workers: int = 1,
     timeout: "float | None" = None,
     store: "ResultStore | None" = None,
-    service: "BenchService | None" = None,
     runner: "Callable[[Job], KernelReport] | None" = None,
 ) -> SweepResult:
     """Run every job of *plan* and return gate-checked cell results.
 
-    Exactly one execution path applies: *runner* (test hook) wins over
-    *service* (submit through a :class:`BenchService`, sharing its
-    coalescing and cache) which wins over the default executor path
-    (:func:`execute_jobs` with *workers*/*timeout*/*store*; a *store*
-    serves cache hits and keeps fresh reports, ``None`` runs every job).
+    *runner* (test hook) wins over the executor path (:func:`execute_jobs`
+    with *workers*/*timeout*/*store*; a *store* serves cache hits and
+    keeps fresh reports, ``None`` runs every job).
     """
     started = time.monotonic()
     with trace.timed_span(f"sweep/{plan.manifest.name}",
@@ -305,12 +298,6 @@ def run_sweep(
         if runner is not None:
             outcomes = [JobOutcome(job=job, report=runner(job))
                         for job in plan.jobs]
-        elif service is not None:
-            handles = [service.submit_job(job) for job in plan.jobs]
-            outcomes = [JobOutcome(job=handle.job,
-                                   report=handle.wait(timeout=timeout),
-                                   origin=handle.origin or EXECUTED)
-                        for handle in handles]
         else:
             outcomes = execute_jobs(plan.jobs, workers=workers,
                                     timeout=timeout, store=store)

@@ -224,7 +224,7 @@ class TestInstall:
         install_manifest(loads_manifest(MINIMAL))
         assert scenario_spec("p4-d2").n_haplotypes == 4
         assert SCENARIO_REGISTRY["p8-d1"].fidelity == "paper"
-        assert SCENARIO_REGISTRY["p8-d1"].axes == {"pop": "p8", "div": "d1"}
+        assert dict(SCENARIO_REGISTRY["p8-d1"].axes) == {"pop": "p8", "div": "d1"}
 
     def test_name_collision_with_different_content_raises(self):
         with pytest.raises(ManifestError, match="collides"):

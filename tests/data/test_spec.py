@@ -7,7 +7,7 @@ import pytest
 from repro.data import (
     SCENARIO_REGISTRY,
     DatasetSpec,
-    Scenario,
+    ManifestCell,
     get_scenario,
     register_scenario,
     scenario_names,
@@ -99,9 +99,9 @@ class TestScenarios:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(DatasetError):
-            register_scenario(Scenario("default", "again"))
+            register_scenario(ManifestCell("default", "again"))
 
     def test_bad_overrides_rejected_at_registration(self):
         with pytest.raises(DatasetError):
-            register_scenario(Scenario("broken", "bad", {"n_haplotypes": 0}))
+            register_scenario(ManifestCell("broken", "bad", {"n_haplotypes": 0}))
         assert "broken" not in SCENARIO_REGISTRY

@@ -75,6 +75,13 @@ class TestCli:
         assert "RuntimeError: boom" in captured.out
         assert "fake-crash" in captured.err
 
+    def test_trace_of_a_crashing_kernel_is_a_one_line_error(
+            self, capsys, fake_kernels):
+        assert main(["trace", "fake-crash"]) == 1
+        captured = capsys.readouterr()
+        assert "Span tree: fake-crash" in captured.out
+        assert captured.err == "error: fake-crash: RuntimeError: boom\n"
+
     def test_validate(self, capsys):
         assert main(["validate", "--kernels", "gbwt", "--scale", "0.25"]) == 0
         assert "ok" in capsys.readouterr().out

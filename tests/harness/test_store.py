@@ -317,6 +317,44 @@ class TestConcurrency:
         assert store.usage()[0] <= 4
 
 
+def _jobs_in_distinct_shards(count):
+    jobs, shards = [], set()
+    for seed in itertools.count():
+        job = _job(seed=seed)
+        if job_digest(job)[:2] not in shards:
+            shards.add(job_digest(job)[:2])
+            jobs.append(job)
+        if len(jobs) == count:
+            return jobs
+
+
+class TestShardDirectories:
+    def test_evicting_a_shards_last_entry_removes_the_shard(self, tmp_path):
+        store = ResultStore(tmp_path, max_entries=1)
+        first, second, third = _jobs_in_distinct_shards(3)
+        first_path = store.save(first, KernelReport(kernel="gbwt"))
+        second_path = store.save(second, KernelReport(kernel="gbwt"))
+        assert not first_path.parent.exists()
+        note = second_path.parent / "notes.txt"
+        note.write_text("kept")
+        store.save(third, KernelReport(kernel="gbwt"))
+        assert not second_path.exists()
+        assert note.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {second_path.parent.name, job_digest(third)[:2]})
+
+    def test_gc_and_clear_leave_no_empty_shard(self, tmp_path):
+        store = ResultStore(tmp_path)
+        path = store.save(_job(), KernelReport(kernel="gbwt"))
+        path.write_text("{torn")
+        assert store.gc() == (1, len("{torn"))
+        assert not path.parent.exists()
+        for name in ("3f", "a0", "zz"):  # "zz" is not a shard name
+            (tmp_path / name).mkdir()
+        store.clear()
+        assert [p.name for p in tmp_path.iterdir()] == ["zz"]
+
+
 def _plant_foreign_data(root):
     """Files under a cache root that the store does not own."""
     foreign = {

@@ -3,11 +3,13 @@ trajectory checks, and the obs_check.json artifact."""
 
 import json
 import math
+import platform
 
 import pytest
 
+import repro
 from repro.errors import ReproError
-from repro.harness.runner import KernelReport
+from repro.harness.runner import KernelReport, run_metadata
 from repro.obs import baseline
 from repro.obs.baseline import (
     SeriesSpec,
@@ -148,6 +150,36 @@ class TestCheckTrajectories:
         assert overall_status(checks) == "regress"
         regressed = {c.series for c in checks if c.status == "regress"}
         assert "serve_load.p50_ms" in regressed
+
+
+class TestAppendEntry:
+    def test_appends_stamped_entries_the_sentinel_reads(self, tmp_path):
+        assert baseline.trajectory_entries("t", root=tmp_path) == []
+        assert baseline.append_entry("t", {"latency": 10.0},
+                                     kind="measured", root=tmp_path) == []
+        prior = baseline.append_entry("t", {"latency": 30.0},
+                                      kind="modelled", root=tmp_path)
+        payload = json.loads((tmp_path / "BENCH_t.json").read_text())
+        assert sorted(payload) == ["bench", "entries"]
+        assert payload["bench"] == "t"
+        entries = payload["entries"]
+        assert [entry["latency"] for entry in entries] == [10.0, 30.0]
+        assert prior == entries[:1]
+        for entry, kind in zip(entries, ("measured", "modelled")):
+            assert entry["version"] == repro.__version__
+            assert entry["git_sha"] == run_metadata()["git_sha"]
+            assert entry["host"] == platform.machine()
+            assert entry["kind"] == kind
+        assert baseline.trajectory_entries("t", root=tmp_path) == entries
+        (check,) = check_trajectories(root=tmp_path, specs=[LOWER])
+        assert (check.value, check.baseline) == (30.0, 10.0)
+        assert check.status == "regress"
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        with pytest.raises(ReproError, match="kind"):
+            baseline.append_entry("t", {"latency": 1.0}, kind="guessed",
+                                  root=tmp_path)
+        assert not (tmp_path / "BENCH_t.json").exists()
 
 
 def _report(kernel, wall, ipc=None, error=None):

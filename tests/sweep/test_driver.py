@@ -8,7 +8,6 @@ from repro.data import loads_manifest, scenario_spec
 from repro.errors import KernelError, SweepError
 from repro.harness.runner import KernelReport
 from repro.harness.store import ResultStore
-from repro.serve import BenchService
 from repro.sweep import (
     SWEEP_FILE,
     compile_sweep,
@@ -238,22 +237,6 @@ class TestRunnerPath:
         sweep = run_sweep(plan, runner=crash)
         assert len(sweep.errors) == 1
         assert not sweep.results[0].ok
-
-
-class TestServicePath:
-    def test_sweep_through_bench_service(self):
-        plan = compile_sweep(mini(), kernels=("tc", "gbwt"),
-                             cells=("p4-d1", "p8-d1"))
-        with BenchService(workers=1, isolation="inline",
-                          runner=ok_runner) as service:
-            sweep = run_sweep(plan, service=service, timeout=30.0)
-        assert len(sweep) == 4
-        assert sweep.errors == []
-        assert sweep.gate_failures == []
-        # Origins come from the service (executed / cached / coalesced).
-        assert sum(sweep.origin_counts().values()) == 4
-        paper = [r for r in sweep.results if r.fidelity == "paper"]
-        assert {r.scenario for r in paper} == {"p8-d1"}
 
 
 class TestPersistence:
