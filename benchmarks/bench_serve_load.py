@@ -110,6 +110,7 @@ def run_experiment() -> dict:
     served_free = result.cache_hits + result.coalesced
     return {
         "requests": len(trace),
+        "completed": result.completed,
         "unique_jobs": unique,
         "workers": WORKERS,
         "chunk": CHUNK,
@@ -143,8 +144,7 @@ def test_serve_load():
     results = run_experiment()
     _emit(results)
     assert results["errors"] == 0
-    assert results["completed" if "completed" in results else "requests"] \
-        == TRACE.requests
+    assert results["completed"] == TRACE.requests
     # One real execution per distinct job — the dedup layer's contract.
     assert results["executed"] == results["unique_jobs"], (
         f"{results['executed']} executions for "

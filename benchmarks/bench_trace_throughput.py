@@ -32,7 +32,6 @@ Runs under plain pytest (no pytest-benchmark needed) or standalone:
 
 from __future__ import annotations
 
-import copy
 import tempfile
 import time
 
@@ -42,7 +41,7 @@ from repro.data import ArtifactStore, use_store
 from repro.harness.runner import run_suite
 from repro.kernels import create_kernel
 from repro.obs.baseline import append_entry
-from repro.uarch.events import MachineProbe, OpClass
+from repro.uarch.events import CallLog, OpClass
 from repro.uarch.machine import TraceMachine
 
 #: The paper's seven characterized CPU kernels and the studies the
@@ -59,10 +58,6 @@ REPLAY_KERNELS = ("gbv", "gbwt", "gssw", "gwfa-cr", "gwfa-lr", "pgsgd",
 
 #: Replays per kernel; the fastest counts.
 REPLAY_REPEATS = 3
-
-#: Every ``MachineProbe`` entry point a kernel may call.
-PROBE_METHODS = tuple(name for name, value in vars(MachineProbe).items()
-                      if callable(value) and not name.startswith("_"))
 
 #: Catastrophe-only ceiling: fail when the cold characterization run
 #: takes more than this multiple of the best committed entry.  Loose on
@@ -213,33 +208,11 @@ def run_characterization() -> dict:
     }
 
 
-class _StreamRecorder(MachineProbe):
-    """Forwards every probe call to a live machine and keeps a private
-    copy of it (arguments copied when the call is made)."""
-
-    def __init__(self, live: TraceMachine) -> None:
-        self.live = live
-        self.calls: list[tuple] = []
-
-
-def _recorded(method):
-    def call(self, *args, **kwargs):
-        self.calls.append(
-            (method, copy.deepcopy(args), copy.deepcopy(kwargs)))
-        getattr(self.live, method)(*args, **kwargs)
-    return call
-
-
-for _method in PROBE_METHODS:
-    setattr(_StreamRecorder, _method, _recorded(_method))
-
-
-def _replay(calls) -> tuple[float, object]:
-    """Seconds to replay *calls* into a fresh machine, and its summary."""
+def _replay(log: CallLog) -> tuple[float, object]:
+    """Seconds to replay *log* into a fresh machine, and its summary."""
     machine = TraceMachine()
     t0 = time.perf_counter()
-    for method, args, kwargs in calls:
-        getattr(machine, method)(*args, **kwargs)
+    log.replay(machine)
     summary = machine.summary()
     return time.perf_counter() - t0, summary
 
@@ -255,16 +228,16 @@ def run_instrument_replay() -> dict:
             for name in REPLAY_KERNELS:
                 kernel = create_kernel(name, scale=CHARACTERIZATION_SCALE)
                 kernel.ensure_prepared()
-                recorder = _StreamRecorder(TraceMachine())
-                kernel.run(probe=recorder)
-                live = recorder.live.summary()
+                log = CallLog(TraceMachine())
+                kernel.run(probe=log)
+                live = log.target.summary()
                 best = float("inf")
                 for _ in range(REPLAY_REPEATS):
-                    seconds, summary = _replay(recorder.calls)
+                    seconds, summary = _replay(log)
                     assert summary == live, f"{name}: replay != live trace"
                     best = min(best, seconds)
                 kernel_seconds[name] = round(best, 4)
-                calls_total += len(recorder.calls)
+                calls_total += len(log.calls)
     return {
         "instrument_replay_seconds": round(sum(kernel_seconds.values()), 4),
         "instrument_replay_calls": calls_total,

@@ -132,8 +132,9 @@ def _shared_flags() -> dict[str, dict]:
         ),
         "timeout": dict(
             type=float, default=None, metavar="SECONDS",
-            help="per-job time limit (enforced only in worker processes: "
-                 "--jobs > 1 or --isolation process)",
+            help="per-job time limit; a job past it is stopped and "
+                 "reported failed (run and sweep run then run every job "
+                 "in a worker process; serve needs --isolation process)",
         ),
         "reuse": dict(
             action="store_true",

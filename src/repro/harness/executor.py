@@ -7,11 +7,12 @@ jobs (``run_suite`` and the sweep driver both go through it):
 
 * serving cache hits from a :class:`~repro.harness.store.ResultStore`
   when one is passed (``store=None`` means no cache);
-* in-process when ``workers == 1`` (deterministic, no pickling);
-* over a pool of worker processes when ``workers > 1``, with per-job
-  timeout and failure isolation — a kernel that raises, hangs past its
-  deadline, or kills its worker yields a report whose ``error`` field is
-  set, and the rest of the batch keeps going.
+* in-process when ``workers == 1`` and no timeout is set
+  (deterministic, no pickling);
+* otherwise over a pool of worker processes, with per-job timeout and
+  failure isolation — a kernel that raises, hangs past its deadline, or
+  kills its worker yields a report whose ``error`` field is set, and the
+  rest of the batch keeps going.
 
 The pool is observable end to end: every worker runs under its own span
 tracer and ships its spans back inside the report; each span is *also*
@@ -461,8 +462,9 @@ def execute_jobs(
 
     With a *store*, cached reports are served without executing the
     kernel (``origin == "cached"``) and fresh successful reports are
-    written back; ``store=None`` executes every job.  Timeouts require
-    process isolation and are enforced only when ``workers > 1``.
+    written back; ``store=None`` executes every job.  A *timeout*
+    needs process isolation, so setting one sends even a
+    ``workers == 1`` batch through the worker pool.
     """
     if workers < 1:
         raise KernelError("workers must be >= 1")
@@ -478,7 +480,7 @@ def execute_jobs(
             pending.append((index, job))
 
     pending_jobs = [job for _, job in pending]
-    if workers == 1:
+    if workers == 1 and timeout is None:
         executed = [_execute_job(job) for job in pending_jobs]
     else:
         if len(pending_jobs) > 1:

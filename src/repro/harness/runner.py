@@ -170,7 +170,7 @@ def run_kernel_studies(
         report.instructions = summary.instructions
         report.branch_misprediction_rate = summary.branch_stats.misprediction_rate
     if attributor is not None:
-        report.phases = attributor.report(cache_config)
+        report.phases = attributor.report()
     if traced:
         report.spans = tracer.records_since(mark)
     report.metrics = run_registry.as_dict()
@@ -199,8 +199,9 @@ def run_suite(
     * ``jobs`` — worker processes; 1 (the default) runs in-process for
       determinism, >1 dispatches over the parallel executor with
       per-kernel failure isolation.
-    * ``timeout`` — per-kernel wall-clock limit in seconds (enforced when
-      ``jobs > 1``; a timed-out kernel's report carries an ``error``).
+    * ``timeout`` — per-kernel wall-clock limit in seconds (each kernel
+      then runs in a worker process; a timed-out kernel's report carries
+      an ``error``).
     * ``store`` — serve cache hits from (and write misses to) this
       :class:`repro.harness.store.ResultStore`; ``ResultStore()`` is the
       shared one under ``$REPRO_CACHE_DIR`` or
@@ -229,18 +230,21 @@ def run_suite(
 
 
 def _git_sha() -> str:
-    """Short git revision of the working tree, or "unknown"."""
+    """Short git revision of the working tree, or "unknown"; ``-dirty``
+    is appended when tracked files differ from ``HEAD``."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=Path(__file__).parent,
+                              capture_output=True, text=True, timeout=5)
+
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
+        sha = git("rev-parse", "--short", "HEAD").stdout.strip()
+        if not sha:
+            return "unknown"
+        dirty = git("diff", "--quiet", "HEAD", "--").returncode == 1
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    return out.stdout.strip() or "unknown"
+    return f"{sha}-dirty" if dirty else sha
 
 
 def run_metadata() -> dict[str, str]:

@@ -11,10 +11,12 @@ Three cooperating pieces:
 * :mod:`repro.obs.metrics` — a process-local registry of labeled
   counters / gauges / histograms with a JSON-merging export that rides
   inside :class:`~repro.harness.runner.KernelReport`;
-* :mod:`repro.obs.attribution` — a span listener that snapshots
-  :class:`~repro.uarch.machine.TraceMachine` counters at span
-  boundaries, yielding per-phase top-down / MPKI / instruction-mix (the
-  VTune-regions analog of the paper's Fig. 6).
+* :mod:`repro.obs.attribution` — a span listener that takes the
+  :class:`~repro.uarch.machine.TraceMachine`'s
+  :class:`~repro.uarch.machine.MachineSummary` at span boundaries and
+  keeps each phase's difference as a summary of its own, yielding
+  per-phase top-down / MPKI / instruction-mix (the VTune-regions analog
+  of the paper's Fig. 6).
 
 :mod:`repro.obs.trace` holds the process-current tracer; library code
 calls ``trace.span("seqwish/closure")`` and pays nothing unless a real

@@ -58,11 +58,6 @@ def _completed(report: "KernelReport") -> "str | None":
     return None
 
 
-def _topdown(report: "KernelReport", slot: str) -> "float | None":
-    """A top-down slot fraction, or ``None`` when the data is absent."""
-    return report.topdown.get(slot) if report.topdown else None
-
-
 def _topdown_gate(slot_check: Callable[[dict], "str | None"]):
     def check(report: "KernelReport") -> "str | None":
         if not report.topdown:

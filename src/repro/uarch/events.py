@@ -7,6 +7,8 @@ addresses, and branches with outcomes — to a :class:`MachineProbe`.
 A :class:`NullProbe` makes instrumentation free for pure timing runs;
 :class:`repro.uarch.machine.TraceMachine` consumes the same events to
 drive a cache simulator, a branch predictor, and the top-down model.
+A :class:`CallLog` keeps a copy of every call it forwards, so one
+recorded stream replays into any other probe.
 
 Addresses are synthetic but *structured*: each data structure reserves a
 region of a flat address space and kernels report the true index math, so
@@ -16,6 +18,7 @@ the real access pattern.
 
 from __future__ import annotations
 
+import copy
 from enum import Enum
 
 
@@ -190,6 +193,42 @@ class NullProbe(MachineProbe):
 
 #: Shared do-nothing probe for pure timing runs.
 NULL_PROBE = NullProbe()
+
+#: Every ``MachineProbe`` entry point a kernel may call.
+PROBE_METHODS = tuple(name for name, value in vars(MachineProbe).items()
+                      if callable(value) and not name.startswith("_"))
+
+
+class CallLog(MachineProbe):
+    """Forwards every call to *target* and keeps a private copy of it.
+
+    Arguments are deep-copied when the call is made, so a kernel that
+    reuses a buffer after passing it cannot change the log; the live
+    *target* sees the caller's own objects.  ``calls`` holds one
+    ``(method, args, kwargs)`` entry per call, in order.
+    """
+
+    def __init__(self, target: MachineProbe) -> None:
+        self.target = target
+        self.calls: list[tuple[str, tuple, dict]] = []
+
+    def replay(self, probe: MachineProbe) -> None:
+        """Make the logged calls again, in order, on *probe*."""
+        for method, args, kwargs in self.calls:
+            getattr(probe, method)(*args, **kwargs)
+
+
+def _logged(method: str):
+    def call(self, *args, **kwargs):
+        self.calls.append(
+            (method, copy.deepcopy(args), copy.deepcopy(kwargs)))
+        getattr(self.target, method)(*args, **kwargs)
+    call.__name__ = method
+    return call
+
+
+for _method in PROBE_METHODS:
+    setattr(CallLog, _method, _logged(_method))
 
 
 class AddressSpace:

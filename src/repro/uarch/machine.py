@@ -9,6 +9,7 @@ instruction-mix reports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,12 @@ OP_LATENCY: dict[OpClass, float] = {
 
 @dataclass(frozen=True)
 class MachineSummary:
-    """Frozen view of one instrumented run."""
+    """Frozen view of one instrumented run.
+
+    Summaries add and subtract counter by counter, so the counters a
+    stretch of the run added are the difference of the summaries taken
+    at its two ends (the per-phase attribution in :mod:`repro.obs`).
+    """
 
     op_counts: dict[OpClass, int]
     load_level_counts: dict[int, int]   # 1=L1 .. 4=memory (loads)
@@ -52,6 +58,36 @@ class MachineSummary:
     l1_misses: int
     l2_misses: int
     l3_misses: int
+
+    def __add__(self, other: MachineSummary) -> MachineSummary:
+        return self._counterwise(other, operator.add)
+
+    def __sub__(self, other: MachineSummary) -> MachineSummary:
+        return self._counterwise(other, operator.sub)
+
+    def _counterwise(self, other: MachineSummary, op) -> MachineSummary:
+        """Apply *op* to every pair of counters; the cache config is
+        this summary's (a phase delta runs on the machine it came from)."""
+
+        def each(mine: dict, theirs: dict) -> dict:
+            return {key: op(mine.get(key, 0), theirs.get(key, 0))
+                    for key in {**mine, **theirs}}
+
+        return MachineSummary(
+            op_counts=each(self.op_counts, other.op_counts),
+            load_level_counts=each(self.load_level_counts,
+                                   other.load_level_counts),
+            store_level_counts=each(self.store_level_counts,
+                                    other.store_level_counts),
+            branch_stats=BranchStats(**each(vars(self.branch_stats),
+                                            vars(other.branch_stats))),
+            dependent_latency_cycles=op(self.dependent_latency_cycles,
+                                        other.dependent_latency_cycles),
+            cache_config=self.cache_config,
+            l1_misses=op(self.l1_misses, other.l1_misses),
+            l2_misses=op(self.l2_misses, other.l2_misses),
+            l3_misses=op(self.l3_misses, other.l3_misses),
+        )
 
     @property
     def instructions(self) -> int:

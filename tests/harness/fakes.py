@@ -80,6 +80,18 @@ class HangKernel(_FakeKernel):
                             inputs_processed=1)
 
 
+class NapKernel(_FakeKernel):
+    """Finishes after a few seconds: past a sub-second timeout, but
+    quick enough that a run ignoring the timeout still ends."""
+
+    name = "fake-nap"
+
+    def _execute(self, probe):
+        time.sleep(3)
+        return KernelResult(kernel=self.name, wall_seconds=0.0,
+                            inputs_processed=1)
+
+
 class DieKernel(_FakeKernel):
     """Kills its own worker process outright (models a native crash)."""
 
@@ -98,5 +110,5 @@ class BadOracleKernel(OkKernel):
         raise AssertionError("oracle mismatch")
 
 
-FAKES = (OkKernel, SpanSpamKernel, CrashKernel, HangKernel, DieKernel,
-         BadOracleKernel)
+FAKES = (OkKernel, SpanSpamKernel, CrashKernel, HangKernel, NapKernel,
+         DieKernel, BadOracleKernel)

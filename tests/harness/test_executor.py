@@ -72,6 +72,11 @@ class TestFailureIsolation:
         assert reports["fake-ok"].ok
         assert elapsed < 30  # the 300 s sleep was terminated
 
+    def test_timeout_enforced_with_one_worker(self, fake_kernels):
+        reports = run_suite(("fake-nap", "fake-ok"), jobs=1, timeout=0.5)
+        assert reports["fake-nap"].error == "Timeout: exceeded 0.5s"
+        assert reports["fake-ok"].ok
+
     def test_failure_report_carries_metadata(self, fake_kernels):
         reports = run_suite(
             ("fake-crash",), scale=0.5, seed=7, cache_config=MACHINE_A

@@ -1,10 +1,12 @@
 """Suite runner: studies, serialization, schema compatibility."""
 
 import json
+import subprocess
 
 import pytest
 
 from repro.errors import KernelError
+from repro.harness import runner
 from repro.harness.runner import (
     SCHEMA_VERSION,
     KernelReport,
@@ -98,3 +100,24 @@ class TestSuiteAndSerialization:
         }))
         loaded = load_reports(path)
         assert loaded["gbwt"].inputs_processed == 9
+
+
+class TestGitStamp:
+    def test_dirty_tree_is_marked(self, tmp_path, monkeypatch):
+        def git(*args):
+            subprocess.run(["git", "-c", "user.name=t",
+                            "-c", "user.email=t@example.com", *args],
+                           cwd=tmp_path, check=True, capture_output=True)
+
+        (tmp_path / "tracked.txt").write_text("one\n")
+        git("init", "-q")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "init")
+        # _git_sha asks git about the tree its own module file lives in.
+        monkeypatch.setattr(runner, "__file__", str(tmp_path / "runner.py"))
+        clean = runner._git_sha()
+        assert clean != "unknown" and not clean.endswith("-dirty")
+        (tmp_path / "untracked.txt").write_text("new\n")
+        assert runner._git_sha() == clean
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert runner._git_sha() == f"{clean}-dirty"

@@ -1,13 +1,18 @@
 """Per-phase μarch attribution: the sums-to-whole-run invariant."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import create_kernel
 from repro.obs import trace
-from repro.obs.attribution import UNTRACED, PhaseAttributor, PhaseCounters
+from repro.obs.attribution import UNTRACED, PhaseAttributor
 from repro.obs.spans import Tracer
-from repro.uarch.cache import MACHINE_B
+from repro.uarch.cache import MACHINE_B, CacheConfig
 from repro.uarch.events import MachineProbe, OpClass
 from repro.uarch.machine import TraceMachine
 
@@ -40,7 +45,7 @@ def _attributed(machine=None):
 class TestExclusiveAttribution:
     def test_phase_sums_equal_whole_run(self):
         machine, attributor = _attributed()
-        report = attributor.report(MACHINE_B)
+        report = attributor.report()
         total = sum(phase["instructions"] for phase in report.values())
         assert total == machine.summary().instructions
 
@@ -50,7 +55,7 @@ class TestExclusiveAttribution:
         outer = attributor.phases["phase/a"]
         # 50 vector ops + 1 branch in the inner span, none leaked out.
         assert inner.instructions == 51
-        assert inner.op_counts[list(OpClass).index(OpClass.VECTOR_ALU)] == 50
+        assert inner.op_counts[OpClass.VECTOR_ALU] == 50
         # phase/a keeps its own 100 ALU + load + store only.
         assert outer.instructions == 102
 
@@ -96,7 +101,7 @@ class TestExclusiveAttribution:
         summary = machine.summary()
         phases = attributor.phases.values()
         assert sum(p.instructions for p in phases) == summary.instructions
-        report = attributor.report(MACHINE_B)
+        report = attributor.report()
         assert sum(p["instructions"] for p in report.values()) == (
             summary.instructions
         )
@@ -117,13 +122,13 @@ class TestExclusiveAttribution:
         with tracer.span("busy"):
             machine.alu(OpClass.SCALAR_ALU, 3)
         attributor.finish()
-        report = attributor.report(MACHINE_B)
+        report = attributor.report()
         assert "empty" not in report
         assert set(report) == {"busy"}
 
     def test_report_orders_largest_phase_first(self):
         _, attributor = _attributed()
-        report = attributor.report(MACHINE_B)
+        report = attributor.report()
         counts = [phase["instructions"] for phase in report.values()]
         assert counts == sorted(counts, reverse=True)
 
@@ -131,7 +136,7 @@ class TestExclusiveAttribution:
 class TestPhaseAnalyses:
     def test_phase_entries_carry_full_analysis(self):
         _, attributor = _attributed()
-        report = attributor.report(MACHINE_B)
+        report = attributor.report()
         phase = report["phase/a/inner"]
         assert set(phase) == {
             "instructions", "ipc", "topdown", "mpki", "instruction_mix",
@@ -153,7 +158,7 @@ class TestPhaseAnalyses:
             machine.load(1 << 12)
             machine.branch(site=9, taken=False)
         attributor.finish()
-        phase = attributor.phases["only"].summary(MACHINE_B)
+        phase = attributor.phases["only"]
         whole = machine.summary()
         assert phase.op_counts == whole.op_counts
         assert phase.branch_stats == whole.branch_stats
@@ -180,19 +185,8 @@ def _phases_of(machine, program):
     return attributor.phases
 
 
-def _phase_total(phases) -> PhaseCounters:
-    total = PhaseCounters()
-    for counters in phases.values():
-        for index, count in enumerate(counters.op_counts):
-            total.op_counts[index] += count
-        for index in range(4):
-            total.load_levels[index] += counters.load_levels[index]
-            total.store_levels[index] += counters.store_levels[index]
-        for name in ("branches", "mispredictions", "taken",
-                     "dependent_latency_cycles", "l1_misses", "l2_misses",
-                     "l3_misses"):
-            setattr(total, name, getattr(total, name) + getattr(counters, name))
-    return total
+def _phase_total(phases):
+    return functools.reduce(operator.add, phases.values())
 
 
 class TestDeferredEventsAtSpanBoundaries:
@@ -227,8 +221,9 @@ class TestDeferredEventsAtSpanBoundaries:
         assert deferred_phases == eager_phases
         assert deferred.summary() == eager.summary()
         untraced = deferred_phases[UNTRACED]
-        assert sum(untraced.load_levels) == 40 + 16  # 15 lines + tail
-        assert deferred_phases["phase/a/inner"].branches == 70
+        # 15 lines + tail
+        assert sum(untraced.load_level_counts.values()) == 40 + 16
+        assert deferred_phases["phase/a/inner"].branch_stats.branches == 70
 
     @pytest.mark.parametrize("name", ["ssw", "gwfa-cr"])
     def test_kernel_phases_sum_to_whole_run(self, name, small_suite):
@@ -241,9 +236,9 @@ class TestDeferredEventsAtSpanBoundaries:
         machine = TraceMachine(MACHINE_B)
         phases = _phases_of(
             machine, lambda probe, tracer: kernel.run(probe=probe))
-        assert phases[UNTRACED] == PhaseCounters()
+        assert phases[UNTRACED] == TraceMachine(MACHINE_B).summary()
         assert phases[f"kernel/{name}/execute"].instructions > 0
-        total = _phase_total(phases).summary(MACHINE_B)
+        total = _phase_total(phases)
         whole = machine.summary()
         assert total.op_counts == whole.op_counts
         assert total.load_level_counts == whole.load_level_counts
@@ -253,3 +248,74 @@ class TestDeferredEventsAtSpanBoundaries:
             whole.l1_misses, whole.l2_misses, whole.l3_misses)
         assert total.dependent_latency_cycles == pytest.approx(
             whole.dependent_latency_cycles)
+
+
+#: Tiny hierarchy so random programs evict and miss at every level.
+TINY = CacheConfig(
+    name="tiny",
+    l1_size=4 * 1024, l1_ways=2,
+    l2_size=16 * 1024, l2_ways=4,
+    l3_size=64 * 1024, l3_ways=4,
+)
+
+_addresses = st.builds(
+    lambda n, seed: np.random.default_rng(seed).integers(0, 1 << 18, n),
+    st.integers(0, 600), st.integers(0, 99))
+_outcomes = st.builds(
+    lambda n, seed: np.random.default_rng(seed).random(n) < 0.7,
+    st.integers(0, 200), st.integers(0, 99))
+_ops = st.sampled_from(list(OpClass))
+_address = st.integers(0, (1 << 18) - 1)
+_site = st.integers(0, 15)
+
+#: One probe call: ``(method, args)``, scalar or batched.
+_calls = st.one_of(
+    st.tuples(st.just("alu"), st.tuples(_ops, st.integers(1, 9),
+                                        st.booleans())),
+    st.tuples(st.sampled_from(["load", "store"]),
+              st.tuples(_address, st.sampled_from([1, 8, 100]))),
+    st.tuples(st.just("branch"), st.tuples(_site, st.booleans())),
+    st.tuples(st.just("branch_run"), st.tuples(_site, st.integers(0, 20))),
+    st.tuples(st.sampled_from(["load_block", "store_block"]),
+              st.tuples(_addresses, st.sampled_from([8, 64]))),
+    st.tuples(st.just("branch_trace"), st.tuples(_site, _outcomes)),
+    st.builds(lambda op, n, k: ("alu_bulk", (op, n, min(k, n))),
+              _ops, st.integers(0, 500), st.integers(0, 500)),
+    st.tuples(st.just("touch_region"),
+              st.tuples(_address, st.integers(0, 3000))),
+)
+
+#: A program: probe calls and ``("span", name, program)`` nests.
+_programs = st.recursive(
+    st.lists(_calls, max_size=6),
+    lambda inner: st.lists(
+        st.one_of(_calls, st.tuples(st.just("span"),
+                                    st.sampled_from(["a", "b", "a/in"]),
+                                    inner)),
+        max_size=6),
+    max_leaves=30,
+)
+
+
+def _run_program(machine, tracer, program):
+    for step in program:
+        if step[0] == "span":
+            with tracer.span(step[1]):
+                _run_program(machine, tracer, step[2])
+        else:
+            method, args = step
+            getattr(machine, method)(*args)
+
+
+class TestPhaseArithmetic:
+    @given(program=_programs)
+    @settings(max_examples=60, deadline=None)
+    def test_phase_summaries_sum_to_whole_run(self, program):
+        """Every counter — op counts, load/store levels, branch stats,
+        L1/L2/L3 misses and dependent latency — of the phase summaries
+        adds up to the whole run's summary."""
+        machine = TraceMachine(TINY)
+        phases = _phases_of(
+            machine, lambda probe, tracer: _run_program(probe, tracer,
+                                                        program))
+        assert _phase_total(phases) == machine.summary()

@@ -1,14 +1,11 @@
-"""Probes that record every call, for event-stream tests.
+"""A probe that records every call, for event-stream golden tests.
 
 :class:`RecordingProbe` keeps calls verbatim for golden tests, which pin
 the sha256 prefix of a kernel's recorded ``(method, args)`` stream: any
 reordering, merging or splitting of probe calls, or any changed payload,
 changes the hash even where the machine summary would not notice.
-:class:`CallLog` keeps private copies of the calls it forwards, so a
-stream can be replayed into another probe.
 """
 
-import copy
 import hashlib
 import json
 
@@ -75,39 +72,3 @@ class RecordingProbe(MachineProbe):
     def digest(self):
         payload = json.dumps(self.calls, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-#: Every ``MachineProbe`` entry point a kernel may call.
-PROBE_METHODS = tuple(name for name, value in vars(MachineProbe).items()
-                      if callable(value) and not name.startswith("_"))
-
-
-class CallLog(MachineProbe):
-    """Forwards every call to *target* and keeps a private copy of it.
-
-    Arguments are deep-copied when the call is made, so a kernel that
-    reuses a buffer after passing it cannot change the log; the live
-    *target* sees the caller's own objects.
-    """
-
-    def __init__(self, target):
-        self.target = target
-        self.calls = []
-
-    def replay(self, probe):
-        """Make the logged calls again, in order, on *probe*."""
-        for method, args, kwargs in self.calls:
-            getattr(probe, method)(*args, **kwargs)
-
-
-def _logged(method):
-    def call(self, *args, **kwargs):
-        self.calls.append(
-            (method, copy.deepcopy(args), copy.deepcopy(kwargs)))
-        getattr(self.target, method)(*args, **kwargs)
-    call.__name__ = method
-    return call
-
-
-for _method in PROBE_METHODS:
-    setattr(CallLog, _method, _logged(_method))

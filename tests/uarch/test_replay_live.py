@@ -12,10 +12,9 @@ pending payload.
 
 import numpy as np
 import pytest
-from recording_probe import PROBE_METHODS, CallLog
 
 from repro.kernels import create_kernel
-from repro.uarch.events import MachineProbe
+from repro.uarch.events import PROBE_METHODS, CallLog, MachineProbe
 from repro.uarch.machine import TraceMachine
 
 CPU_KERNELS = ("gbv", "gbwt", "gssw", "gwfa-cr", "gwfa-lr", "pgsgd", "ssw",
