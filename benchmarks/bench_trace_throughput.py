@@ -18,8 +18,8 @@ characterization run (scale 0.25 under the topdown/cache/instmix
 studies, fresh artifact store) — the end-to-end number the kernel
 vectorization work moves — and the simulated instrument alone: the
 probe-call streams of the ``characterize`` workload's 8 CPU kernels are
-recorded once, untimed, and only their replay into fresh machines is
-timed (each replay must reproduce the live run's summary).  Each run
+recorded once, untimed, on inputs from the default artifact store, and
+only their replay into fresh machines is timed (each replay must reproduce the live run's summary).  Each run
 appends one ``kind: "measured"`` entry to ``BENCH_trace_throughput.json``
 at the repo root through :func:`repro.obs.baseline.append_entry` (the
 committed trajectory the regression sentinel watches via ``repro obs
@@ -219,25 +219,24 @@ def _replay(log: CallLog) -> tuple[float, object]:
 
 def run_instrument_replay() -> dict:
     """Time the simulated instrument alone on fixed input: record each
-    kernel's probe calls once (untimed), then replay them into fresh
-    machines; every replay must equal the live run's summary."""
+    kernel's probe calls once (untimed, with inputs from the default
+    artifact store, warm after the first run), then replay them into
+    fresh machines; every replay must equal the live run's summary."""
     kernel_seconds: dict[str, float] = {}
     calls_total = 0
-    with tempfile.TemporaryDirectory(prefix="trace-replay-") as tmp:
-        with use_store(ArtifactStore(tmp)):
-            for name in REPLAY_KERNELS:
-                kernel = create_kernel(name, scale=CHARACTERIZATION_SCALE)
-                kernel.ensure_prepared()
-                log = CallLog(TraceMachine())
-                kernel.run(probe=log)
-                live = log.target.summary()
-                best = float("inf")
-                for _ in range(REPLAY_REPEATS):
-                    seconds, summary = _replay(log)
-                    assert summary == live, f"{name}: replay != live trace"
-                    best = min(best, seconds)
-                kernel_seconds[name] = round(best, 4)
-                calls_total += len(log.calls)
+    for name in REPLAY_KERNELS:
+        kernel = create_kernel(name, scale=CHARACTERIZATION_SCALE)
+        kernel.ensure_prepared()
+        log = CallLog(TraceMachine())
+        kernel.run(probe=log)
+        live = log.target.summary()
+        best = float("inf")
+        for _ in range(REPLAY_REPEATS):
+            seconds, summary = _replay(log)
+            assert summary == live, f"{name}: replay != live trace"
+            best = min(best, seconds)
+        kernel_seconds[name] = round(best, 4)
+        calls_total += len(log.calls)
     return {
         "instrument_replay_seconds": round(sum(kernel_seconds.values()), 4),
         "instrument_replay_calls": calls_total,

@@ -129,6 +129,7 @@ def _thread_haplotype(
     diagonal_band: int,
 ) -> None:
     """Map one haplotype onto the current graph and thread its path."""
+    # Not the cached graph_minimizer_index: the graph grows between haplotypes.
     index = GraphMinimizerIndex(graph, k=k, w=w)
     seeds = index.seeds_for(record.sequence)
     # Anchor only to reference-backbone nodes: their node ids are their

@@ -411,6 +411,15 @@ def _execute_pool(
                         report = _failure_report(
                             entry.job, f"WorkerDied: exit code {code}"
                         )
+                    if (entry.deadline is not None
+                            and time.monotonic() > entry.deadline):
+                        # Judged on arrival: a report that lands between
+                        # two polls but after its deadline is late.
+                        late = _failure_report(
+                            entry.job, f"Timeout: exceeded {timeout:g}s"
+                        )
+                        late.spans = report.spans
+                        report = late
                     finish(conn, report)
                 now = time.monotonic()
                 for conn, entry in list(running.items()):

@@ -10,6 +10,7 @@ from repro.index.minimizer import (
     SequenceMinimizerIndex,
     canonical_hash,
     encode_kmer,
+    graph_minimizer_index,
     hash64,
     minimizers,
 )
@@ -26,8 +27,8 @@ __all__ = [
     "FMIndex", "FMRange",
     "ENDMARKER", "GBWT", "GBWTState",
     "GraphHit", "GraphMinimizerIndex", "Minimizer", "Seed",
-    "SequenceMinimizerIndex", "canonical_hash", "encode_kmer", "hash64",
-    "minimizers",
+    "SequenceMinimizerIndex", "canonical_hash", "encode_kmer",
+    "graph_minimizer_index", "hash64", "minimizers",
     "bwt", "bwt_from_suffix_array", "inverse_bwt",
     "longest_common_prefix_array", "suffix_array", "suffix_array_of_string",
 ]

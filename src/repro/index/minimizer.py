@@ -9,6 +9,8 @@ every indexed k-mer is one that actually occurs in a haplotype.
 
 from __future__ import annotations
 
+import bisect
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import IndexError_
@@ -173,22 +175,21 @@ class GraphMinimizerIndex:
             raise IndexError_("graph minimizer index needs at least one path")
         self.k = k
         self.w = w
-        self.graph = graph
         self._table: dict[int, list[GraphHit]] = {}
-        self._build()
+        self._build(graph)
 
-    def _build(self) -> None:
+    def _build(self, graph: SequenceGraph) -> None:
         seen: set[tuple[int, int, int]] = set()
-        for path in self.graph.paths():
-            sequence = self.graph.path_sequence(path.name)
+        for path in graph.paths():
+            sequence = graph.path_sequence(path.name)
             # Cumulative node starts for mapping linear offsets back.
             starts: list[int] = []
             total = 0
             for node_id in path.nodes:
                 starts.append(total)
-                total += len(self.graph.node(node_id))
+                total += len(graph.node(node_id))
             for minimizer in minimizers(sequence, self.k, self.w):
-                node_index = _find_step(starts, minimizer.position)
+                node_index = bisect.bisect_right(starts, minimizer.position) - 1
                 node_id = path.nodes[node_index]
                 node_offset = minimizer.position - starts[node_index]
                 key = (minimizer.hash_value, node_id, node_offset)
@@ -227,36 +228,47 @@ class GraphMinimizerIndex:
 
     def oriented_seeds(
         self, read_sequence: str, max_hits_per_minimizer: int = 64
-    ) -> tuple[list[Seed], bool]:
+    ) -> tuple[list[Seed], str]:
         """Seeds for the better-matching orientation of the read.
 
         Real mappers try both strands; here the majority strand of the
         forward seeding decides, and reverse-majority reads are re-seeded
-        as their reverse complement.  Returns (seeds, flipped).
+        as their reverse complement.  Returns (seeds, oriented sequence):
+        the read as given, or its reverse complement when it was flipped.
         """
-        from repro.sequence.alphabet import reverse_complement
-
         seeds = self.seeds_for(read_sequence, max_hits_per_minimizer)
         reverse_hits = sum(1 for seed in seeds if seed.is_reverse)
         if reverse_hits * 2 <= len(seeds):
-            return [s for s in seeds if not s.is_reverse], False
-        flipped = self.seeds_for(
-            reverse_complement(read_sequence), max_hits_per_minimizer
-        )
-        return [s for s in flipped if not s.is_reverse], True
+            return [s for s in seeds if not s.is_reverse], read_sequence
+        flipped = reverse_complement(read_sequence)
+        seeds = self.seeds_for(flipped, max_hits_per_minimizer)
+        return [s for s in seeds if not s.is_reverse], flipped
 
     @property
     def distinct_minimizers(self) -> int:
         return len(self._table)
 
 
-def _find_step(starts: list[int], position: int) -> int:
-    """Index of the path step containing linear *position* (binary search)."""
-    low, high = 0, len(starts) - 1
-    while low < high:
-        mid = (low + high + 1) // 2
-        if starts[mid] <= position:
-            low = mid
-        else:
-            high = mid - 1
-    return low
+#: graph -> {(k, w): GraphMinimizerIndex}, keyed weakly by graph identity.
+_GRAPH_INDEXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def graph_minimizer_index(graph: SequenceGraph, k: int,
+                          w: int) -> GraphMinimizerIndex:
+    """The process-local minimizer index of *graph* at (*k*, *w*), built
+    on the first call and shared by every later one.
+
+    An index holds no reference to its graph, so a cached entry lives
+    exactly as long as the graph does.  A graph must not be changed
+    after its first index: the cached one would go stale (the Cactus
+    builder, which grows its graph between haplotypes, builds its own).
+    This is not a store derivation: its callers are derivations, and a
+    derivation build holds its spec's flock, so it must not re-enter
+    ``derived()``.  Two threads that miss at once each build an equal
+    index, and one of them is kept.
+    """
+    indexes = _GRAPH_INDEXES.setdefault(graph, {})
+    index = indexes.get((k, w))
+    if index is None:
+        index = indexes[(k, w)] = GraphMinimizerIndex(graph, k=k, w=w)
+    return index

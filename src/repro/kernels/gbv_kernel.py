@@ -13,11 +13,35 @@ from repro.data import derivation
 from repro.errors import KernelError
 from repro.graph.model import SequenceGraph
 from repro.graph.ops import local_subgraph
-from repro.index.minimizer import GraphMinimizerIndex
+from repro.index.minimizer import graph_minimizer_index
 from repro.kernels.base import Kernel, KernelResult, register
-from repro.sequence.alphabet import reverse_complement
 from repro.sequence.records import Read
 from repro.uarch.events import MachineProbe
+
+
+def seeded_subgraphs(
+    graph: SequenceGraph,
+    reads: list[Read],
+    k: int,
+    w: int,
+    slack: int,
+    acyclic: bool,
+) -> list[tuple[str, SequenceGraph]]:
+    """Seed each read against *graph*'s (k, w) minimizer index, orient
+    it, and cut the subgraph within ``len(read) + slack`` bases of its
+    middle seed: the (read, subgraph) jobs a seed-and-extend mapper's
+    alignment stage receives.  Reads without a seed are dropped."""
+    index = graph_minimizer_index(graph, k=k, w=w)
+    items: list[tuple[str, SequenceGraph]] = []
+    for read in reads:
+        seeds, sequence = index.oriented_seeds(read.sequence)
+        if not seeds:
+            continue
+        anchor = seeds[len(seeds) // 2]
+        subgraph = local_subgraph(graph, anchor.node_id,
+                                  radius_bp=len(read) + slack, acyclic=acyclic)
+        items.append((sequence, subgraph))
+    return items
 
 
 def extract_gbv_inputs(
@@ -28,17 +52,7 @@ def extract_gbv_inputs(
 ) -> list[tuple[str, SequenceGraph]]:
     """GraphAligner's pre-alignment stages: seeds -> light clusters ->
     (read, local subgraph) alignment jobs."""
-    index = GraphMinimizerIndex(graph, k=k, w=w)
-    items: list[tuple[str, SequenceGraph]] = []
-    for read in reads:
-        seeds, flipped = index.oriented_seeds(read.sequence)
-        if not seeds:
-            continue
-        sequence = reverse_complement(read.sequence) if flipped else read.sequence
-        anchor = seeds[len(seeds) // 2]
-        subgraph = local_subgraph(graph, anchor.node_id, radius_bp=len(read) + 64)
-        items.append((sequence, subgraph))
-    return items
+    return seeded_subgraphs(graph, reads, k, w, slack=64, acyclic=False)
 
 
 @derivation("gbv_inputs")

@@ -3,13 +3,15 @@
 Inputs (Table 3: "Read Fragment"): (query, acyclic subgraph) pairs,
 produced by running vg map's seeding and clustering stages and dumping
 what its alignment stage would receive — the same extract-at-the-
-boundary method the paper uses.
+boundary method the paper uses.  Every read range seeds against the
+corpus graph's one cached (15, 10) minimizer index
+(:func:`repro.index.minimizer.graph_minimizer_index`), which lives as
+long as the graph.
 """
 
 from __future__ import annotations
 
 import random
-import weakref
 
 from repro.align.gssw import graph_smith_waterman_scalar, gssw_align_many
 from repro.align.scoring import VG_DEFAULT
@@ -18,8 +20,6 @@ from repro.data.corpus import short_read_count
 from repro.data.streaming import ChunkedSeries
 from repro.errors import KernelError
 from repro.graph.model import SequenceGraph
-from repro.graph.ops import local_subgraph
-from repro.index.minimizer import GraphMinimizerIndex
 from repro.kernels.base import (
     SCALAR,
     VECTORIZED,
@@ -27,7 +27,7 @@ from repro.kernels.base import (
     KernelResult,
     register,
 )
-from repro.sequence.alphabet import reverse_complement
+from repro.kernels.gbv_kernel import seeded_subgraphs
 from repro.sequence.records import Read
 from repro.uarch.events import MachineProbe
 
@@ -38,62 +38,22 @@ def extract_gssw_inputs(
     k: int = 15,
     w: int = 10,
     context_radius: int = 160,
-    index: "GraphMinimizerIndex | None" = None,
 ) -> list[tuple[str, SequenceGraph]]:
     """Run the pre-alignment stages and collect GSSW's (query, subgraph)
     inputs — shared by the kernel and the Figure 10/11 case studies.
-
-    Pass a prebuilt *index* to amortize the minimizer-index build over
-    many calls (the derivation's chunks do; it is a pure function of the
-    graph, so extraction output is unchanged)."""
-    if index is None:
-        index = GraphMinimizerIndex(graph, k=k, w=w)
-    items: list[tuple[str, SequenceGraph]] = []
-    for read in reads:
-        seeds, flipped = index.oriented_seeds(read.sequence)
-        if not seeds:
-            continue
-        sequence = reverse_complement(read.sequence) if flipped else read.sequence
-        anchor = seeds[len(seeds) // 2]
-        subgraph = local_subgraph(
-            graph, anchor.node_id, radius_bp=len(read) + context_radius, acyclic=True
-        )
-        items.append((sequence, subgraph))
-    return items
-
-
-#: Process-local minimizer indexes keyed by graph identity, so chunk
-#: builds share one index instead of rebuilding the dominant
-#: pre-alignment stage per chunk.  The build of the last range drops
-#: its graph's entry, so a finished input keeps no index resident.  (A
-#: weak key: the cache cannot pin a corpus the store has evicted.  Not a
-#: store derivation — a derivation build holds the spec's flock, so it
-#: must not re-enter ``derived()``.)
-_INDEX_CACHE: "weakref.WeakKeyDictionary[SequenceGraph, GraphMinimizerIndex]" \
-    = weakref.WeakKeyDictionary()
-
-
-def _shared_minimizer_index(graph: SequenceGraph) -> GraphMinimizerIndex:
-    index = _INDEX_CACHE.get(graph)
-    if index is None:
-        index = GraphMinimizerIndex(graph, k=15, w=10)
-        _INDEX_CACHE[graph] = index
-    return index
+    vg DAG-ifies each extracted context, so the subgraphs are acyclic."""
+    return seeded_subgraphs(graph, reads, k, w, slack=context_radius,
+                            acyclic=True)
 
 
 @derivation("gssw_inputs")
 def _derive_gssw_inputs(data, spec, start=0, stop=None):
     """vg map's pre-alignment stages, dumped at the GSSW boundary, for
-    reads ``start..stop`` (default all).  Extraction is per-read (the
-    minimizer index is a pure function of the graph), so concatenating
-    ranges reproduces the whole list exactly — seed-filtered reads and
-    all."""
-    reads = list(data.short_reads)
-    items = extract_gssw_inputs(data.graph, reads[start:stop],
-                                index=_shared_minimizer_index(data.graph))
-    if stop is None or stop >= len(reads):
-        _INDEX_CACHE.pop(data.graph, None)
-    return items
+    reads ``start..stop`` (default all).  Extraction is per-read (every
+    range seeds against the graph's one cached minimizer index), so
+    concatenating ranges reproduces the whole list exactly —
+    seed-filtered reads and all."""
+    return extract_gssw_inputs(data.graph, list(data.short_reads)[start:stop])
 
 
 @register

@@ -15,10 +15,9 @@ from repro.align.gwfa import gwfa_align, graph_edit_distance_from
 from repro.data import derivation
 from repro.errors import AlignmentError, KernelError
 from repro.graph.model import SequenceGraph
-from repro.index.minimizer import GraphMinimizerIndex
+from repro.index.minimizer import graph_minimizer_index
 from repro.align.chain import anchors_from_seeds, chain_anchors
 from repro.kernels.base import Kernel, KernelResult, register
-from repro.sequence.alphabet import reverse_complement
 from repro.sequence.records import Read
 from repro.uarch.events import MachineProbe
 
@@ -33,13 +32,12 @@ def extract_gwfa_inputs(
     """Minigraph's chaining stage up to the GWFA boundary: for each pair
     of consecutive chain anchors, the read gap sequence and the graph
     node to bridge from."""
-    index = GraphMinimizerIndex(graph, k=k, w=w)
+    index = graph_minimizer_index(graph, k=k, w=w)
     items: list[tuple[str, int]] = []
     for read in reads:
-        seeds, flipped = index.oriented_seeds(read.sequence)
+        seeds, sequence = index.oriented_seeds(read.sequence)
         if not seeds:
             continue
-        sequence = reverse_complement(read.sequence) if flipped else read.sequence
         anchors = anchors_from_seeds(graph, seeds, k)
         chain = chain_anchors(anchors, max_gap=max_gap)
         for left, right in zip(chain.anchors, chain.anchors[1:]):

@@ -19,8 +19,7 @@ from repro.align.scoring import VG_DEFAULT, AffineScoring
 from repro.graph.model import SequenceGraph
 from repro.graph.ops import local_subgraph
 from repro.index.gbwt import ENDMARKER, GBWT
-from repro.index.minimizer import GraphMinimizerIndex, Seed
-from repro.sequence.alphabet import reverse_complement
+from repro.index.minimizer import Seed, graph_minimizer_index
 from repro.sequence.records import Read
 from repro.tools.base import MappingResult, ToolRun, check_reads
 from repro.uarch.events import NULL_PROBE, MachineProbe
@@ -63,7 +62,7 @@ class Giraffe:
         self.graph = graph
         self.config = config or GiraffeConfig()
         self.probe = probe
-        self.index = GraphMinimizerIndex(graph, k=self.config.k, w=self.config.w)
+        self.index = graph_minimizer_index(graph, k=self.config.k, w=self.config.w)
         self.gbwt = GBWT.from_graph(graph)
 
     # ------------------------------------------------------------------
@@ -164,11 +163,10 @@ class Giraffe:
     def map_read(self, read: Read, run: ToolRun) -> MappingResult:
         config = self.config
         with run.timer.stage("seed"):
-            seeds, flipped = self.index.oriented_seeds(read.sequence)
+            seeds, sequence = self.index.oriented_seeds(read.sequence)
             run.bump("seeds", len(seeds))
         if not seeds:
             return MappingResult(read.name, mapped=False, score=0.0, details="no seeds")
-        sequence = reverse_complement(read.sequence) if flipped else read.sequence
 
         with run.timer.stage("cluster"):
             stats = ClusterStats()

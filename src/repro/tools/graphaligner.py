@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from repro.align.gbv import GBV
 from repro.graph.model import SequenceGraph
 from repro.graph.ops import local_subgraph
-from repro.index.minimizer import GraphMinimizerIndex, Seed
-from repro.sequence.alphabet import reverse_complement
+from repro.index.minimizer import Seed, graph_minimizer_index
 from repro.sequence.records import Read
 from repro.tools.base import MappingResult, ToolRun, check_reads
 from repro.uarch.events import NULL_PROBE, MachineProbe
@@ -46,7 +45,7 @@ class GraphAligner:
         self.graph = graph
         self.config = config or GraphAlignerConfig()
         self.probe = probe
-        self.index = GraphMinimizerIndex(graph, k=self.config.k, w=self.config.w)
+        self.index = graph_minimizer_index(graph, k=self.config.k, w=self.config.w)
 
     def _light_clusters(self, seeds: list[Seed]) -> list[list[Seed]]:
         """Cheap clustering: bucket by node id neighbourhood, no distance
@@ -65,11 +64,10 @@ class GraphAligner:
 
     def map_read(self, read: Read, run: ToolRun) -> MappingResult:
         with run.timer.stage("seed"):
-            seeds, flipped = self.index.oriented_seeds(read.sequence)
+            seeds, sequence = self.index.oriented_seeds(read.sequence)
             run.bump("seeds", len(seeds))
         if not seeds:
             return MappingResult(read.name, mapped=False, score=0.0, details="no seeds")
-        sequence = reverse_complement(read.sequence) if flipped else read.sequence
 
         with run.timer.stage("cluster"):
             clusters = self._light_clusters(seeds)

@@ -10,7 +10,10 @@ and the store-traffic observability metrics streaming legitimately
 adds).
 """
 
+import contextlib
 import dataclasses
+import gc
+import weakref
 from collections.abc import Sequence
 
 import pytest
@@ -36,6 +39,7 @@ from repro.data.streaming import (
 from repro.harness.executor import Job, compile_plan
 from repro.harness.runner import run_kernel_studies
 from repro.harness.store import job_key
+from repro.index.minimizer import graph_minimizer_index
 from repro.kernels import create_kernel
 from repro.uarch.events import NULL_PROBE
 
@@ -208,18 +212,27 @@ class TestOneChunkPrepare:
             warm._execute(NULL_PROBE)
             assert store.calls == []
 
-    def test_gssw_keeps_no_minimizer_index_resident(self, tmp_path):
-        """Chunk builds share one index; the last range's build drops it,
+    @pytest.mark.parametrize("chunk_items", [7, None])
+    def test_cached_index_does_not_pin_its_corpus(
+            self, tmp_path, chunk_items):
+        """gssw's cached index lives exactly as long as its corpus graph,
         streamed or in one chunk."""
-        from repro.kernels.gssw_kernel import _INDEX_CACHE
-
+        scope = (streaming(chunk_items=chunk_items) if chunk_items
+                 else contextlib.nullcontext())
         with use_store(ArtifactStore(tmp_path)) as store:
-            with streaming(chunk_items=7):
-                create_kernel("gssw", scale=0.05, seed=0).ensure_prepared()
-            create_kernel("gssw", scale=0.05, seed=1).ensure_prepared()
-            for seed in (0, 1):
-                spec = create_kernel("gssw", scale=0.05, seed=seed).spec
-                assert store.corpus(spec).graph not in _INDEX_CACHE
+            kernel = create_kernel("gssw", scale=0.05, seed=0)
+            with scope:
+                kernel.ensure_prepared()
+            graph = store.corpus(kernel.spec).graph
+            graph_ref = weakref.ref(graph)
+            index_ref = weakref.ref(graph_minimizer_index(graph, k=15, w=10))
+            del graph
+            gc.collect()
+            assert index_ref() is not None  # cached while the store holds it
+            store.evict_memory()
+            gc.collect()
+            assert graph_ref() is None
+            assert index_ref() is None
 
 
 class TestStreamingValidate:

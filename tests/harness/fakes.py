@@ -92,6 +92,18 @@ class NapKernel(_FakeKernel):
                             inputs_processed=1)
 
 
+class DozeKernel(_FakeKernel):
+    """Finishes after 20 ms: past a 5 ms timeout, yet its report lands
+    inside the executor's first 50 ms poll."""
+
+    name = "fake-doze"
+
+    def _execute(self, probe):
+        time.sleep(0.02)
+        return KernelResult(kernel=self.name, wall_seconds=0.0,
+                            inputs_processed=1)
+
+
 class DieKernel(_FakeKernel):
     """Kills its own worker process outright (models a native crash)."""
 
@@ -111,4 +123,4 @@ class BadOracleKernel(OkKernel):
 
 
 FAKES = (OkKernel, SpanSpamKernel, CrashKernel, HangKernel, NapKernel,
-         DieKernel, BadOracleKernel)
+         DozeKernel, DieKernel, BadOracleKernel)

@@ -77,6 +77,15 @@ class TestFailureIsolation:
         assert reports["fake-nap"].error == "Timeout: exceeded 0.5s"
         assert reports["fake-ok"].ok
 
+    def test_report_past_its_deadline_is_a_timeout(self, fake_kernels):
+        """A report that arrives late is judged on arrival, not passed
+        because it beat the next deadline poll; it keeps its spans."""
+        reports = run_suite(("fake-doze",), jobs=1, timeout=0.005)
+        report = reports["fake-doze"]
+        assert report.error == "Timeout: exceeded 0.005s"
+        names = {r["name"] for r in report.spans}
+        assert "kernel/fake-doze/execute" in names
+
     def test_failure_report_carries_metadata(self, fake_kernels):
         reports = run_suite(
             ("fake-crash",), scale=0.5, seed=7, cache_config=MACHINE_A

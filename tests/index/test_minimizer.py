@@ -10,6 +10,7 @@ from repro.index.minimizer import (
     SequenceMinimizerIndex,
     canonical_hash,
     encode_kmer,
+    graph_minimizer_index,
     hash64,
     minimizers,
 )
@@ -107,13 +108,26 @@ class TestGraphIndex:
         graph = small_graph_pangenome.graph
         index = GraphMinimizerIndex(graph, k=15, w=10)
         query = small_graph_pangenome.haplotypes[0].sequence[100:250]
-        seeds_f, flipped_f = index.oriented_seeds(query)
-        seeds_r, flipped_r = index.oriented_seeds(reverse_complement(query))
-        assert not flipped_f
-        assert flipped_r
+        seeds_f, oriented_f = index.oriented_seeds(query)
+        seeds_r, oriented_r = index.oriented_seeds(reverse_complement(query))
+        assert oriented_f == query  # not flipped
+        assert oriented_r == query  # flipped back to the forward strand
         assert {(s.node_id, s.node_offset) for s in seeds_f} == {
             (s.node_id, s.node_offset) for s in seeds_r
         }
+
+    def test_cached_index_matches_a_fresh_build(self, small_graph_pangenome):
+        graph = small_graph_pangenome.graph
+        cached = graph_minimizer_index(graph, k=15, w=10)
+        assert graph_minimizer_index(graph, k=15, w=10) is cached
+        assert graph_minimizer_index(graph, k=17, w=20) is not cached
+        fresh = GraphMinimizerIndex(graph, k=15, w=10)
+        for haplotype in small_graph_pangenome.haplotypes:
+            for query in (haplotype.sequence[100:250],
+                          reverse_complement(haplotype.sequence[900:1200])):
+                assert cached.seeds_for(query) == fresh.seeds_for(query)
+                assert (cached.oriented_seeds(query)
+                        == fresh.oriented_seeds(query))
 
     def test_repetitive_minimizers_capped(self, small_graph_pangenome):
         graph = small_graph_pangenome.graph

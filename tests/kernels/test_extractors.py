@@ -1,5 +1,8 @@
 """Kernel dataset extraction helpers (the tool-boundary dumps)."""
 
+from repro.data import ArtifactStore, use_store
+from repro.index.minimizer import GraphMinimizerIndex
+from repro.kernels import create_kernel
 from repro.kernels.gbv_kernel import extract_gbv_inputs
 from repro.kernels.gssw_kernel import extract_gssw_inputs
 from repro.kernels.gwfa_kernel import extract_gwfa_inputs
@@ -54,3 +57,21 @@ class TestSswExtraction:
         assert items
         for _query, window in items:
             assert window in small_suite.reference.sequence
+
+
+class TestSharedMinimizerIndex:
+    def test_one_index_build_per_k_w(self, tmp_path, monkeypatch):
+        """gbv and gwfa-lr share their (17, 20) index: one cold prepare
+        of the four seed-based kernels builds three indexes."""
+        built = []
+        build = GraphMinimizerIndex._build
+
+        def counting_build(self, *args):
+            built.append((self.k, self.w))
+            return build(self, *args)
+
+        monkeypatch.setattr(GraphMinimizerIndex, "_build", counting_build)
+        with use_store(ArtifactStore(tmp_path)):
+            for name in ("gbv", "gwfa-lr", "gwfa-cr", "gssw"):
+                create_kernel(name, scale=0.05).ensure_prepared()
+        assert sorted(built) == [(15, 10), (17, 20), (17, 30)]
