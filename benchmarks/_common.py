@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.claims import CLAIMS, completion_failure
 from repro.data import default_store, scenario_spec
 from repro.harness.runner import run_suite
 from repro.harness.store import ResultStore
@@ -24,10 +25,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: Dataset scale shared by the benches (keeps each bench under ~1 min).
 BENCH_SCALE = 0.3
 BENCH_SEED = 0
-#: Named dataset scenario the benches run on.  The paper-shape
-#: assertions are calibrated against ``default``; regenerate a figure on
-#: another corpus by flipping this (or calling the helpers below with an
-#: explicit scenario).
+#: Named dataset scenario the benches run on.  The claims table
+#: (:mod:`repro.claims`) is calibrated against ``default``; regenerate a
+#: figure on another corpus by flipping this (or calling the helpers
+#: below with an explicit scenario).
 BENCH_SCENARIO = "default"
 
 #: The shared characterization study set: figures 6/7/8 and Table 6 all
@@ -57,6 +58,17 @@ def engine_reports(kernels, studies, scenario: str = BENCH_SCENARIO):
         scale=BENCH_SCALE, seed=BENCH_SEED,
         store=STORE, scenario=scenario,
     )
+
+
+def assert_claims(source: str, reports) -> None:
+    """Assert *source*'s rows of the claims table (e.g. ``"Fig. 6"``) and
+    each report's completion over *reports*, a ``{kernel: KernelReport}``
+    mapping; a claim whose kernel has no report fails."""
+    claims = [claim for claim in CLAIMS if claim.source == source]
+    assert claims, f"no claims for {source!r}"
+    failures = [completion_failure(report) for report in reports.values()]
+    failures = [m for m in failures + [c.failure(reports) for c in claims] if m]
+    assert not failures, "\n".join(failures)
 
 
 def emit(name: str, text: str) -> None:

@@ -6,7 +6,8 @@ while SSW stores only the previous column.  We also run the ablation the
 paper proposes as a software fix: GSSW without the full-matrix stores.
 """
 
-from _common import BENCH_SCALE, BENCH_SEED, CHAR_STUDIES, emit, engine_reports
+from _common import (BENCH_SCALE, BENCH_SEED, CHAR_STUDIES, assert_claims,
+                     emit, engine_reports)
 
 from repro.align.gssw import GSSW
 from repro.align.scoring import VG_DEFAULT
@@ -54,8 +55,7 @@ def test_fig10(benchmark):
             title="Figure 10: SSW vs GSSW (paper: GSSW ~3x more memory stalls)",
         ),
     )
-    ssw_memory = reports["ssw"].topdown["memory_bound"]
-    gssw_memory = reports["gssw"].topdown["memory_bound"]
-    assert gssw_memory > 3 * max(ssw_memory, 1e-6)
-    # The proposed optimization recovers most of the gap.
-    assert ablation.memory_bound < 0.5 * gssw_memory
+    assert_claims("Fig. 10", reports)
+    # Bench-local (the ablation is the bench's own run, not a kernel report):
+    # the proposed optimization recovers most of the gap.
+    assert ablation.memory_bound < 0.5 * reports["gssw"].topdown["memory_bound"]

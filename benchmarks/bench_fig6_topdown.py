@@ -5,7 +5,7 @@ high bad-speculation; GBWT is front-end/bad-spec exposed but NOT memory
 bound; PGSGD is memory+core bound; TC retires the most.
 """
 
-from _common import CHAR_STUDIES, emit, engine_reports
+from _common import CHAR_STUDIES, assert_claims, emit, engine_reports
 
 from repro.analysis.report import render_stacked_fractions, render_table
 from repro.kernels import CPU_KERNELS
@@ -31,15 +31,4 @@ def test_fig6(benchmark):
         ["kernel", *COMPONENTS], rows, title="Figure 6: top-down slot fractions"
     ) + "\n\n" + render_stacked_fractions(fractions, COMPONENTS)
     emit("fig6_topdown", text)
-
-    topdown = fractions
-    # TC retires the most of any kernel.
-    assert topdown["tc"]["retiring"] == max(t["retiring"] for t in topdown.values())
-    # PGSGD: memory + core dominate.
-    assert topdown["pgsgd"]["memory_bound"] + topdown["pgsgd"]["core_bound"] > 0.6
-    # GBWT is NOT memory bound (the paper's surprise).
-    assert topdown["gbwt"]["memory_bound"] < 0.15
-    # GBV shows heavy bad speculation; GSSW shows core + some memory.
-    assert topdown["gbv"]["bad_speculation"] > 0.15
-    assert topdown["gssw"]["core_bound"] > 0.25
-    assert topdown["gssw"]["memory_bound"] > 0.05
+    assert_claims("Fig. 6", reports)

@@ -6,7 +6,7 @@ bitvector words); PGSGD heavily uses (scalar-)SSE floating point; GBWT
 and TC are scalar+memory.
 """
 
-from _common import CHAR_STUDIES, emit, engine_reports
+from _common import CHAR_STUDIES, assert_claims, emit, engine_reports
 
 from repro.analysis.report import render_table
 from repro.kernels import CPU_KERNELS
@@ -29,9 +29,4 @@ def test_fig8(benchmark):
         render_table(["kernel", *BINS], rows,
                      title="Figure 8: dynamic instruction mix fractions"),
     )
-    mix = {name: reports[name].instruction_mix for name in CPU_KERNELS}
-    assert mix["gssw"]["vector"] > 0.4           # hand-vectorized
-    assert mix["gwfa-lr"]["vector"] < 0.05       # not vectorized
-    assert mix["gbv"]["scalar"] > 0.7            # 64-bit word ops
-    assert mix["pgsgd"]["vector"] > 0.3          # SSE scalar FP
-    assert mix["tc"]["scalar"] + mix["tc"]["memory"] > 0.9
+    assert_claims("Fig. 8", reports)

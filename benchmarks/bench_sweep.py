@@ -11,8 +11,9 @@ real executor twice against a fresh store and checks:
 
 * the cold pass executes all points and the warm pass executes none
   (warm cache-hit rate == 1.0);
-* the paper cell's shape gates hold on real reports (topdown for CPU
-  kernels, GPU counters for TSU);
+* the claims table (:mod:`repro.claims`) holds on the paper cell's real
+  reports (topdown and instruction mix for CPU kernels, GPU counters
+  for TSU);
 * no grid point errors.
 
 Each run appends a ``kind: "measured"`` entry to ``BENCH_sweep.json`` at
@@ -100,7 +101,7 @@ def test_sweep():
     _emit(results)
     assert results["errors"] == 0
     assert results["gate_failures"] == 0, (
-        "paper-shape gates failed on a fidelity=paper cell"
+        "claims failed on a fidelity=paper cell"
     )
     # The cold pass executes the whole grid ...
     assert results["cold_executed"] == results["grid_points"]

@@ -54,6 +54,7 @@ def test_tables_2_3_4(benchmark):
         title="Tables 3+4 analog: kernel datasets and execution times",
     )
     emit("table4_kernel_times", text)
+    # Bench-local: these orderings read host wall times, not simulated counters.
     times = {name: reports[name].wall_seconds for name in SUITE_KERNELS}
     # Shape: the chromosome GWFA variant far outweighs the read variant.
     assert times["gwfa-cr"] > times["gwfa-lr"]

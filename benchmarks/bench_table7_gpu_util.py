@@ -7,7 +7,8 @@ PGSGD 53.85% / 88.31% / 41.91%.  Plus the Section 5.3 block-size study:
 
 from types import SimpleNamespace
 
-from _common import BENCH_SEED, bench_data, emit, engine_reports
+from _common import (BENCH_SEED, assert_claims, bench_data, emit,
+                     engine_reports)
 
 from repro.analysis.report import render_table
 from repro.layout.pgsgd import PGSGDParams
@@ -23,17 +24,18 @@ def run_experiment():
     data = bench_data()
     # The TSU row is the kernel's own gpu study (cached by the engine);
     # the kernel models the paper's saturated batch via its replicate.
-    tsu = SimpleNamespace(**engine_reports(("tsu",), ("gpu",))["tsu"].gpu)
+    reports = engine_reports(("tsu",), ("gpu",))
     params = PGSGDParams(iterations=8, updates_per_iteration=3000,
                          seed=BENCH_SEED)
     pgsgd_1024 = pgsgd_layout_gpu(data.graph, params, block_size=1024)
     pgsgd_256 = pgsgd_layout_gpu(data.graph, params, block_size=256)
-    return tsu, pgsgd_1024.report, pgsgd_256.report
+    return reports, pgsgd_1024.report, pgsgd_256.report
 
 
 def test_table7(benchmark):
-    tsu, pgsgd, pgsgd_256 = benchmark.pedantic(run_experiment, rounds=1,
-                                               iterations=1)
+    reports, pgsgd, pgsgd_256 = benchmark.pedantic(run_experiment, rounds=1,
+                                                   iterations=1)
+    tsu = SimpleNamespace(**reports["tsu"].gpu)
     rows = []
     for name, report in (("tsu", tsu), ("pgsgd", pgsgd)):
         paper_occ, paper_warp, paper_bw = PAPER[name]
@@ -59,9 +61,9 @@ def test_table7(benchmark):
         title="Section 5.3 block-size study (paper: 66.7% -> 83.3%)",
     )
     emit("table7_gpu_util", text)
+    assert_claims("Table 7", reports)
+    # Bench-local: pgsgd_layout_gpu at the bench's own parameters, not a kernel report.
     assert abs(pgsgd.theoretical_occupancy - 2 / 3) < 0.01
     assert abs(pgsgd_256.theoretical_occupancy - 5 / 6) < 0.01
     assert abs(pgsgd.achieved_occupancy - 0.5385) < 0.08
     assert abs(pgsgd.warp_utilization - 0.8831) < 0.05
-    assert abs(tsu.theoretical_occupancy - 1 / 3) < 0.01
-    assert 0.2 < tsu.memory_bw_utilization < 0.6

@@ -41,10 +41,10 @@ spec-digest sets.  Conflicting overrides (two axes setting one field)
 and duplicate cell names raise :class:`~repro.errors.ManifestError`
 at parse time — a manifest either expands cleanly or not at all.
 
-``fidelity = "paper"`` flags cells the paper-shape gates
-(:mod:`repro.sweep.gates`) are asserted on during sweeps, so scenario
-growth can't silently break fidelity; everything else defaults to
-``"bench"`` (run, aggregate, but don't gate).
+``fidelity = "paper"`` flags cells the claims table
+(:mod:`repro.claims`) is asserted on during sweeps, so scenario growth
+can't silently break fidelity; everything else defaults to ``"bench"``
+(run, aggregate, but don't gate).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from repro.errors import ManifestError
 from repro.sequence.mutate import VariantRates
 from repro.data.spec import SUITE_RATES, DatasetSpec
 
-#: Cell fidelity grades.  ``paper`` cells get the paper-shape gates
+#: Cell fidelity grades.  ``paper`` cells get the claims table
 #: asserted on every sweep; ``bench`` cells only run and aggregate.
 FIDELITY_PAPER, FIDELITY_BENCH = "paper", "bench"
 _FIDELITIES = (FIDELITY_PAPER, FIDELITY_BENCH)

@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         sweep_commands, "run", _command_sweep_run, "manifest", "studies",
         "machine", "jobs", "timeout", "reuse", "dir",
         help="run a kernel × cell × scale grid and save sweep.json "
-             "(paper-fidelity cells get their gate studies added)",
+             "(paper-fidelity cells get their claims' studies added)",
     )
     sweep_run.add_argument(
         "--kernels", nargs="+", required=True, type=_name_list,

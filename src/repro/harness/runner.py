@@ -269,21 +269,17 @@ def save_reports(
 def load_reports(path: str | Path) -> dict[str, KernelReport]:
     """Load reports saved by :func:`save_reports`.
 
-    Checks ``schema_version`` (rejecting files from a newer schema),
-    ignores unknown per-report fields, and still reads the legacy
-    unversioned ``{kernel: fields}`` layout.
+    Checks ``schema_version`` (rejecting files without one or from a
+    newer schema) and ignores unknown per-report fields.
     """
     payload = json.loads(Path(path).read_text())
-    if "schema_version" in payload:
-        version = payload["schema_version"]
-        if not isinstance(version, int) or version > SCHEMA_VERSION:
-            raise KernelError(
-                f"unsupported report schema {version!r} (this build reads "
-                f"<= {SCHEMA_VERSION})"
-            )
-        records = payload.get("reports", {})
-    else:  # legacy schema 1: a bare name -> fields mapping
-        records = payload
+    version = payload.get("schema_version")
+    if not isinstance(version, int) or version > SCHEMA_VERSION:
+        raise KernelError(
+            f"unsupported report schema_version {version!r} in {path} "
+            f"(this build reads <= {SCHEMA_VERSION})"
+        )
     return {
-        name: KernelReport.from_dict(record) for name, record in records.items()
+        name: KernelReport.from_dict(record)
+        for name, record in payload.get("reports", {}).items()
     }

@@ -6,9 +6,9 @@ into the scenario registry, and expands a grid of executor
 :class:`~repro.harness.executor.Job`\\ s — one per
 ``kernel × cell × scale × seed`` point, validated up front so a typo'd
 kernel or study fails before anything runs.  Cells the manifest flags
-``fidelity = "paper"`` automatically get the studies their paper-shape
-gates need (:mod:`repro.sweep.gates`), and every paper-cell report is
-gate-checked when results come back.
+``fidelity = "paper"`` automatically get the studies their claims
+(:mod:`repro.claims`) need, and every paper-cell report is checked
+against the table when results come back.
 
 ``run_sweep`` gets each grid point's report one of two ways:
 
@@ -21,7 +21,7 @@ gate-checked when results come back.
 Both yield :class:`~repro.harness.executor.JobOutcome`\\ s, which
 become a flat list of :class:`CellResult`\\ s — one per grid point, each
 carrying its report, its origin (``executed`` / ``cached``), and any
-gate violations — which
+claim failures (``gate_violations``) — which
 :mod:`repro.analysis.aggregate` folds into summary tables and
 leaderboards.  ``save_sweep``/``load_sweep`` round-trip the whole thing
 through ``sweep.json``.
@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from repro.claims import claim_studies, evaluate
 from repro.data.manifest import Manifest, install_manifest, resolve_manifest
 from repro.errors import SweepError
 from repro.harness.executor import (
@@ -48,7 +49,6 @@ from repro.harness.runner import SCHEMA_VERSION, KernelReport, run_metadata
 from repro.kernels.base import resolve_backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
-from repro.sweep.gates import check_paper_gates, gate_studies
 from repro.uarch.cache import MACHINE_B, CacheConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,7 +60,7 @@ class SweepPlan:
     """A validated grid: the manifest plus one job per grid point.
 
     ``jobs[i]`` belongs to cell ``cells[i]``; ``paper[i]`` says whether
-    that cell's report must pass the paper-shape gates.
+    that cell's report is held to the claims table.
     """
 
     manifest: Manifest
@@ -95,7 +95,7 @@ def compile_sweep(
     name, or a TOML path; its cells are installed into the scenario
     registry so the executor (and the result cache's dataset digests)
     can resolve them.  *cells* restricts the grid to a subset of cell
-    names; paper-fidelity cells get their gate studies unioned in.
+    names; paper-fidelity cells get their claims' studies unioned in.
 
     *backends* adds an execution-backend axis (``None``: one implicit
     axis point, each kernel's default).  Every named backend must be
@@ -124,6 +124,7 @@ def compile_sweep(
         (kernel, backend): resolve_backend(kernel, backend or None)
         for backend in backend_axis for kernel in kernels
     }
+    points = {(kernel, backend) for (kernel, _), backend in resolved.items()}
 
     if cells is None:
         selected = list(manifest.cells)
@@ -153,14 +154,9 @@ def compile_sweep(
                 for backend in backend_axis:
                     for kernel in kernels:
                         job_backend = resolved[(kernel, backend)]
-                        job_studies = studies
-                        if is_paper:
-                            extra = tuple(
-                                study
-                                for study in gate_studies(kernel, job_backend)
-                                if study not in job_studies
-                            )
-                            job_studies = job_studies + extra
+                        job_studies = (claim_studies(studies, kernel,
+                                                     job_backend, points)
+                                       if is_paper else studies)
                         jobs.append(Job(
                             kernel=kernel,
                             studies=job_studies,
@@ -203,7 +199,7 @@ class CellResult:
 
     @property
     def ok(self) -> bool:
-        """Completed without a kernel error or a gate violation."""
+        """Completed without a kernel error or a claim failure."""
         return self.report.error is None and not self.gate_violations
 
 
@@ -237,12 +233,13 @@ class SweepResult:
 def _results_from_outcomes(
     plan: SweepPlan, outcomes: "list[JobOutcome]"
 ) -> list[CellResult]:
-    """One gate-checked :class:`CellResult` per outcome, aligned by
-    position with *plan*'s grid."""
+    """One :class:`CellResult` per outcome, aligned by position with
+    *plan*'s grid, with the claims checked on paper cells."""
     results = []
+    groups: dict[tuple, list[CellResult]] = {}
     for index, outcome in enumerate(outcomes):
         job, report = outcome.job, outcome.report
-        results.append(CellResult(
+        result = CellResult(
             scenario=job.scenario,
             kernel=job.kernel,
             scale=job.scale,
@@ -250,10 +247,16 @@ def _results_from_outcomes(
             fidelity="paper" if plan.paper[index] else "bench",
             origin=outcome.origin,
             report=report,
-            gate_violations=(check_paper_gates(report)
-                             if plan.paper[index] else ()),
             backend=job.backend,
-        ))
+        )
+        results.append(result)
+        if plan.paper[index]:
+            groups.setdefault((job.scenario, job.scale, job.seed),
+                              []).append(result)
+    for group in groups.values():
+        failures = evaluate([result.report for result in group])
+        for result, violations in zip(group, failures):
+            result.gate_violations = violations
     return results
 
 
@@ -286,7 +289,7 @@ def run_sweep(
     store: "ResultStore | None" = None,
     runner: "Callable[[Job], KernelReport] | None" = None,
 ) -> SweepResult:
-    """Run every job of *plan* and return gate-checked cell results.
+    """Run every job of *plan* and return claim-checked cell results.
 
     *runner* (test hook) wins over the executor path (:func:`execute_jobs`
     with *workers*/*timeout*/*store*; a *store* serves cache hits and

@@ -91,15 +91,15 @@ class TestSuiteAndSerialization:
         with pytest.raises(KernelError):
             load_reports(path)
 
-    def test_load_reads_legacy_unversioned_layout(self, tmp_path):
-        """Schema-1 files (a bare name -> fields mapping) still load."""
+    def test_load_rejects_unversioned_layout(self, tmp_path):
+        """A bare name -> fields mapping has no schema_version."""
         path = tmp_path / "reports.json"
         path.write_text(json.dumps({
             "gbwt": {"kernel": "gbwt", "wall_seconds": 1.0,
                      "inputs_processed": 9},
         }))
-        loaded = load_reports(path)
-        assert loaded["gbwt"].inputs_processed == 9
+        with pytest.raises(KernelError, match="schema_version"):
+            load_reports(path)
 
 
 class TestGitStamp:

@@ -36,6 +36,9 @@ GOOD_TOPDOWN = {
     "retiring": 0.55, "frontend_bound": 0.05, "bad_speculation": 0.2,
     "core_bound": 0.55, "memory_bound": 0.1,
 }
+#: Satisfies tc's Fig. 8 claim (scalar + memory > 0.9).
+TC_MIX = {"vector": 0.0, "memory": 0.15, "branch": 0.05, "scalar": 0.8,
+          "register": 0.0}
 
 
 def mini():
@@ -43,11 +46,11 @@ def mini():
 
 
 def ok_runner(job):
-    """A runner whose reports satisfy every CPU paper gate."""
+    """A runner whose tc and gbwt reports satisfy every claim on them."""
     return KernelReport(
         kernel=job.kernel, scenario=job.scenario, scale=job.scale,
         seed=job.seed, wall_seconds=0.5, inputs_processed=7,
-        ipc=1.5, topdown=dict(GOOD_TOPDOWN),
+        ipc=1.5, topdown=dict(GOOD_TOPDOWN), instruction_mix=dict(TC_MIX),
     )
 
 
@@ -66,7 +69,7 @@ class TestCompile:
     def test_paper_cells_get_gate_studies(self):
         plan = compile_sweep(mini(), kernels=("tc",))
         by_cell = dict(zip(plan.cells, plan.jobs))
-        assert by_cell["p8-d1"].studies == ("timing", "topdown")
+        assert by_cell["p8-d1"].studies == ("timing", "topdown", "instmix")
         assert by_cell["p4-d1"].studies == ("timing",)
         assert plan.paper[plan.cells.index("p8-d1")] is True
 
@@ -74,7 +77,15 @@ class TestCompile:
         plan = compile_sweep(mini(), kernels=("tc",),
                              studies=("timing", "topdown"))
         by_cell = dict(zip(plan.cells, plan.jobs))
-        assert by_cell["p8-d1"].studies == ("timing", "topdown")
+        assert by_cell["p8-d1"].studies == ("timing", "topdown", "instmix")
+
+    def test_cross_kernel_claims_add_studies_only_when_covered(self):
+        alone = compile_sweep(mini(), kernels=("gwfa-lr",), cells=("p8-d1",))
+        assert alone.jobs[0].studies == ("timing", "topdown", "instmix")
+        # With pgsgd in the grid, Fig. 7's gwfa-lr-vs-pgsgd row needs cache.
+        both = compile_sweep(mini(), kernels=("gwfa-lr", "pgsgd"),
+                             cells=("p8-d1",))
+        assert "cache" in both.jobs[0].studies
 
     def test_compile_installs_manifest_cells(self):
         compile_sweep(mini(), kernels=("tc",))
@@ -229,6 +240,27 @@ class TestRunnerPath:
         assert bench.gate_violations == ()
         assert bench.ok
 
+    def test_cross_kernel_claim_needs_every_kernel_in_the_group(self):
+        """Fig. 10's gssw-vs-ssw ratio is judged only when both kernels
+        ran in the (cell, scale, seed) group; its failure attaches to
+        each of them."""
+        def equal_memory(job):
+            report = ok_runner(job)
+            report.instruction_mix = {**TC_MIX, "vector": 0.5}
+            return report
+
+        alone = run_sweep(compile_sweep(mini(), kernels=("gssw",),
+                                        cells=("p8-d1",)),
+                          runner=equal_memory)
+        assert alone.gate_failures == []
+        both = run_sweep(compile_sweep(mini(), kernels=("gssw", "ssw"),
+                                       cells=("p8-d1",)),
+                         runner=equal_memory)
+        failing = {r.kernel: r.gate_violations for r in both.gate_failures}
+        assert set(failing) == {"gssw", "ssw"}
+        assert all(len(v) == 1 and v[0].startswith("gssw-memory-vs-ssw")
+                   for v in failing.values())
+
     def test_kernel_errors_surface(self):
         def crash(job):
             return KernelReport(kernel=job.kernel, scenario=job.scenario,
@@ -301,3 +333,13 @@ class TestExecutorIntegration:
         warm = run_sweep(plan, store=store)
         assert warm.origin_counts() == {"cached": 1}
         assert warm.results[0].gate_violations == ()
+
+    def test_gwfa_known_deviation_does_not_fail_the_paper_cell(
+            self, small_suite):
+        """GWFA's core-bound rows are known deviations: a real sweep of
+        both GWFA kernels on the paper cell reports no claim failure."""
+        plan = compile_sweep("suite", kernels=("gwfa-lr", "gwfa-cr"),
+                             scales=(0.1,), cells=("default",))
+        sweep = run_sweep(plan)
+        assert sweep.errors == []
+        assert sweep.gate_failures == []
