@@ -22,10 +22,10 @@ property of the overheads and latencies, not of a fixed work budget.
 
 Each run appends a ``kind: "modelled"`` entry to
 ``BENCH_layout_crossover.json`` at the repo root through
-:func:`repro.obs.baseline.append_entry` — the committed trajectory the
-regression sentinel watches via ``repro obs check`` — and fails only if
-the crossover balloons against the best prior entry.  The models are
-deterministic, so the trajectory is stable run to run.
+:func:`repro.obs.baseline.append_entry`.  The regression sentinel
+(``repro obs check``) judges the crossover point and the speedup at the
+largest graph against earlier entries.  The models are deterministic,
+so the trajectory is stable run to run.
 
 Runs under plain pytest or standalone:
 ``PYTHONPATH=src python benchmarks/bench_layout_crossover.py``.
@@ -57,12 +57,6 @@ UPDATES_PER_NODE = 100
 #: Calibration run: enough updates for a stable device rate while the
 #: Python-level simulator stays interactive.
 CALIBRATION_PARAMS = PGSGDParams(iterations=30, updates_per_iteration=600)
-
-#: Catastrophe-only ceiling: fail if the crossover moved out past this
-#: multiple of the best (lowest) committed entry.  Trend-watching is the
-#: sentinel's job; this only catches an overhead regression that
-#: de-justifies the GPU backend for everything but huge graphs.
-MAX_CROSSOVER_RATIO = 4.0
 
 
 def _interpolated_crossover(points: list[dict]) -> "float | None":
@@ -162,18 +156,8 @@ def test_layout_crossover():
     # occupancy pinned by 44 regs/thread at block 1024.
     assert abs(results["calibration"]["theoretical_occupancy"] - 2 / 3) \
         < 0.01
-    # Fail only if the crossover ballooned versus the best (lowest)
-    # prior entry.
     prior = append_entry("layout_crossover", results, kind="modelled")
     print(f"trajectory: BENCH_layout_crossover.json ({len(prior) + 1} entries)")
-    best = min((e["crossover_nodes"] for e in prior
-                if e.get("crossover_nodes")), default=None)
-    if best is not None:
-        ceiling = MAX_CROSSOVER_RATIO * best
-        assert results["crossover_nodes"] <= ceiling, (
-            f"GPU crossover ballooned: {results['crossover_nodes']} nodes "
-            f"vs best committed {best} (ceiling {ceiling:.0f})"
-        )
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ Two passes per scale: an untraced pass for honest wall time, then a
 ``tracemalloc`` pass for allocation peak (tracemalloc slows execution
 severely, so the traced pass contributes no timing).  Each run appends
 a ``kind: "measured"`` entry to ``BENCH_scale_sweep.json`` at the repo
-root through :func:`repro.obs.baseline.append_entry` — the committed
-trajectory the regression sentinel watches via ``repro obs check``.
+root through :func:`repro.obs.baseline.append_entry`.  The regression
+sentinel (``repro obs check``) judges the memory exponent against
+earlier entries; the wall exponent is fitted to host timings, so it is
+asserted sub-quadratic here and recorded as data.
 
 ``REPRO_SCALE_SWEEP_MAX`` caps the sweep (CI perf-smoke uses 1) without
 changing the fit logic.  Runs under plain pytest or standalone:

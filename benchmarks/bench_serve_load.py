@@ -21,9 +21,10 @@ occurrence is still running) and later chunks exercise the warm cache —
 one cold trace measures both paths.
 
 Each run appends a ``kind: "measured"`` entry to ``BENCH_serve_load.json``
-at the repo root through :func:`repro.obs.baseline.append_entry` (the
-committed trajectory) and fails only on a catastrophic regression
-against the best prior entry, so CI noise cannot flake the build.
+at the repo root through :func:`repro.obs.baseline.append_entry`.  The
+regression sentinel (``repro obs check``) judges its
+served-without-execution rate against earlier entries; latencies and
+throughput are host wall times, recorded as data.
 
 Runs under plain pytest or standalone:
 ``PYTHONPATH=src python benchmarks/bench_serve_load.py``.
@@ -59,13 +60,6 @@ TRACE = TraceSpec(requests=1200, seed=0)
 CHUNK = 150
 
 WORKERS = 4
-
-#: Catastrophe-only floor: fail if throughput drops below this fraction
-#: of the best committed entry.  Deliberately loose — the trajectory
-#: file is for trend-watching, the assertion only catches order-of-
-#: magnitude regressions (an accidental sync-eviction in the submit
-#: path, a lost coalesce making every duplicate re-execute, ...).
-MIN_THROUGHPUT_RATIO = 0.05
 
 
 def _serve_counter_totals(exported: dict) -> dict[str, int]:
@@ -159,16 +153,8 @@ def test_serve_load():
     )
     # The bursts provably overlapped in-flight work.
     assert results["coalesced"] > 0, "no request ever coalesced"
-    # Fail only if throughput collapsed versus the best prior entry.
     prior = append_entry("serve_load", results, kind="measured")
     print(f"trajectory: BENCH_serve_load.json ({len(prior) + 1} entries)")
-    best = max((e["requests_per_sec"] for e in prior), default=None)
-    if best is not None:
-        floor = MIN_THROUGHPUT_RATIO * best
-        assert results["requests_per_sec"] >= floor, (
-            f"serve throughput collapsed: {results['requests_per_sec']:.0f} "
-            f"req/s vs best committed {best:.0f} (floor {floor:.0f})"
-        )
 
 
 if __name__ == "__main__":

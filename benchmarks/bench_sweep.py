@@ -17,10 +17,10 @@ real executor twice against a fresh store and checks:
 * no grid point errors.
 
 Each run appends a ``kind: "measured"`` entry to ``BENCH_sweep.json`` at
-the repo root through :func:`repro.obs.baseline.append_entry` (the
-committed trajectory) and fails only on a catastrophic cold-throughput
-regression against the best prior entry, so CI noise cannot flake the
-build.
+the repo root through :func:`repro.obs.baseline.append_entry`.  The
+regression sentinel (``repro obs check``) judges its warm cache-hit rate
+against earlier entries; the cold and warm wall times are host
+timings, recorded as data.
 
 Runs under plain pytest or standalone:
 ``PYTHONPATH=src python benchmarks/bench_sweep.py``.
@@ -43,13 +43,6 @@ from repro.sweep import compile_sweep, run_sweep
 MANIFEST = "suite"
 KERNELS = ("tsu", "gbwt", "tc")
 SCALE = 0.1
-
-#: Catastrophe-only floor: fail if cold grid throughput drops below
-#: this fraction of the best committed entry.  Deliberately loose — the
-#: trajectory file is for trend-watching; the assertion only catches
-#: order-of-magnitude regressions (a cache-key bug forcing dataset
-#: rebuilds per point, a gate study accidentally running per cell, ...).
-MIN_THROUGHPUT_RATIO = 0.05
 
 
 def run_experiment() -> dict:
@@ -112,17 +105,8 @@ def test_sweep():
         f"{results['warm_cache_hit_rate']:.4f}"
     )
     assert results["paper_points"] >= 1
-    # Fail only if cold grid throughput collapsed versus the best prior
-    # entry.
     prior = append_entry("sweep", results, kind="measured")
     print(f"trajectory: BENCH_sweep.json ({len(prior) + 1} entries)")
-    best = max((e["cold_points_per_sec"] for e in prior), default=None)
-    if best is not None:
-        floor = MIN_THROUGHPUT_RATIO * best
-        assert results["cold_points_per_sec"] >= floor, (
-            f"sweep throughput collapsed: {results['cold_points_per_sec']:.2f} "
-            f"points/s vs best committed {best:.2f} (floor {floor:.2f})"
-        )
 
 
 if __name__ == "__main__":

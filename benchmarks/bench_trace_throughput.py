@@ -13,18 +13,16 @@ through scalar calls, once through the batch API — and the two resulting
 :class:`MachineSummary` objects must be identical (the differential
 guarantee the hypothesis suite enforces per-operation).
 
-On top of the ingestion microbench, this bench times the *cold* 7-kernel
-characterization run (scale 0.25 under the topdown/cache/instmix
-studies, fresh artifact store) — the end-to-end number the kernel
-vectorization work moves — and the simulated instrument alone: the
-probe-call streams of the ``characterize`` workload's 8 CPU kernels are
-recorded once, untimed, on inputs from the default artifact store, and
-only their replay into fresh machines is timed (each replay must reproduce the live run's summary).  Each run
+On top of the ingestion microbench, this bench times the simulated
+instrument alone: the probe-call streams of the ``characterize``
+workload's 8 CPU kernels are recorded once, untimed, on inputs from the
+default artifact store, and only their replay into fresh machines is
+timed (each replay must reproduce the live run's summary).  Each run
 appends one ``kind: "measured"`` entry to ``BENCH_trace_throughput.json``
-at the repo root through :func:`repro.obs.baseline.append_entry` (the
-committed trajectory the regression sentinel watches via ``repro obs
-check``) and fails only on a catastrophic regression against the best
-prior entry.
+at the repo root through :func:`repro.obs.baseline.append_entry`.  The
+regression sentinel (``repro obs check``) judges its overall speedup
+and the replay's exact call and instruction counts against earlier
+entries; the replay seconds are recorded as data.
 
 Runs under plain pytest (no pytest-benchmark needed) or standalone:
 ``PYTHONPATH=src python benchmarks/bench_trace_throughput.py``.
@@ -32,38 +30,23 @@ Runs under plain pytest (no pytest-benchmark needed) or standalone:
 
 from __future__ import annotations
 
-import tempfile
 import time
 
 import numpy as np
 
-from repro.data import ArtifactStore, use_store
-from repro.harness.runner import run_suite
 from repro.kernels import create_kernel
 from repro.obs.baseline import append_entry
 from repro.uarch.events import CallLog, OpClass
 from repro.uarch.machine import TraceMachine
 
-#: The paper's seven characterized CPU kernels and the studies the
-#: characterization chapters run them under.
-CHARACTERIZATION_KERNELS = ("gssw", "gbv", "gbwt", "gwfa-cr", "gwfa-lr",
-                            "pgsgd", "tc")
-CHARACTERIZATION_STUDIES = ("topdown", "cache", "instmix")
-CHARACTERIZATION_SCALE = 0.25
-
-#: The ``characterize`` workload's CPU kernels (dataset seed 0, the
-#: characterization scale), whose recorded streams time the instrument.
+#: The ``characterize`` workload's CPU kernels and scale (dataset seed
+#: 0), whose recorded streams time the instrument.
 REPLAY_KERNELS = ("gbv", "gbwt", "gssw", "gwfa-cr", "gwfa-lr", "pgsgd",
                   "ssw", "tc")
+REPLAY_SCALE = 0.25
 
 #: Replays per kernel; the fastest counts.
 REPLAY_REPEATS = 3
-
-#: Catastrophe-only ceiling: fail when the cold characterization run
-#: takes more than this multiple of the best committed entry.  Loose on
-#: purpose — the trajectory is for trend-watching; the sentinel's
-#: tighter median±MAD thresholds do the PR-over-PR gating.
-MAX_WALL_RATIO = 3.0
 
 #: Events per stream.  Large enough that per-call overhead amortizes on
 #: the batched side and the scalar loop dominates timing noise.
@@ -181,33 +164,6 @@ def run_experiment() -> dict:
     }
 
 
-def run_characterization() -> dict:
-    """Time the cold 7-kernel characterization run on a fresh artifact
-    store (dataset build included — the number a user's first
-    ``repro run`` actually costs)."""
-    kernel_seconds: dict[str, float] = {}
-    with tempfile.TemporaryDirectory(prefix="trace-throughput-") as tmp:
-        with use_store(ArtifactStore(tmp)):
-            t0 = time.perf_counter()
-            for kernel in CHARACTERIZATION_KERNELS:
-                k0 = time.perf_counter()
-                reports = run_suite(
-                    (kernel,),
-                    studies=CHARACTERIZATION_STUDIES,
-                    scale=CHARACTERIZATION_SCALE,
-                )
-                kernel_seconds[kernel] = round(time.perf_counter() - k0, 3)
-                error = reports[kernel].error
-                assert error is None, f"{kernel} failed: {error}"
-            wall = time.perf_counter() - t0
-    return {
-        "characterization_wall_seconds": round(wall, 3),
-        "characterization_kernels_per_sec":
-            round(len(CHARACTERIZATION_KERNELS) / wall, 3),
-        "kernel_seconds": dict(sorted(kernel_seconds.items())),
-    }
-
-
 def _replay(log: CallLog) -> tuple[float, object]:
     """Seconds to replay *log* into a fresh machine, and its summary."""
     machine = TraceMachine()
@@ -223,9 +179,9 @@ def run_instrument_replay() -> dict:
     artifact store, warm after the first run), then replay them into
     fresh machines; every replay must equal the live run's summary."""
     kernel_seconds: dict[str, float] = {}
-    calls_total = 0
+    calls_total = instructions_total = 0
     for name in REPLAY_KERNELS:
-        kernel = create_kernel(name, scale=CHARACTERIZATION_SCALE)
+        kernel = create_kernel(name, scale=REPLAY_SCALE)
         kernel.ensure_prepared()
         log = CallLog(TraceMachine())
         kernel.run(probe=log)
@@ -237,9 +193,11 @@ def run_instrument_replay() -> dict:
             best = min(best, seconds)
         kernel_seconds[name] = round(best, 4)
         calls_total += len(log.calls)
+        instructions_total += live.instructions
     return {
         "instrument_replay_seconds": round(sum(kernel_seconds.values()), 4),
         "instrument_replay_calls": calls_total,
+        "replay_instructions": instructions_total,
         "instrument_replay_kernel_seconds": kernel_seconds,
     }
 
@@ -253,13 +211,9 @@ def _emit(results: dict) -> None:
               f"{row['batched_events_per_sec']:>14,}{row['speedup']:>8.1f}x")
     print(f"overall speedup: {results['overall_speedup']:.1f}x "
           f"(required >= {MIN_SPEEDUP:.0f}x)")
-    print(f"cold 7-kernel characterization: "
-          f"{results['characterization_wall_seconds']:.2f}s "
-          f"(scale {CHARACTERIZATION_SCALE})")
-    for kernel, seconds in results["kernel_seconds"].items():
-        print(f"  {kernel:<10}{seconds:>8.3f}s")
     print(f"instrument replay ({results['instrument_replay_calls']:,} "
-          f"recorded probe calls): "
+          f"recorded probe calls, "
+          f"{results['replay_instructions']:,} instructions): "
           f"{results['instrument_replay_seconds']:.3f}s")
     for kernel, seconds in results["instrument_replay_kernel_seconds"].items():
         print(f"  {kernel:<10}{seconds:>8.3f}s")
@@ -267,26 +221,14 @@ def _emit(results: dict) -> None:
 
 def test_trace_throughput():
     results = run_experiment()
-    results.update(run_characterization())
     results.update(run_instrument_replay())
     _emit(results)
     assert results["overall_speedup"] >= MIN_SPEEDUP, (
         f"batched ingestion only {results['overall_speedup']:.1f}x faster; "
         f"need >= {MIN_SPEEDUP:.0f}x"
     )
-    # Fail only if the characterization run collapsed versus the best
-    # prior entry.
     prior = append_entry("trace_throughput", results, kind="measured")
     print(f"trajectory: BENCH_trace_throughput.json ({len(prior) + 1} entries)")
-    best = min((e["characterization_wall_seconds"] for e in prior),
-               default=None)
-    if best is not None:
-        ceiling = MAX_WALL_RATIO * best
-        assert results["characterization_wall_seconds"] <= ceiling, (
-            f"cold characterization collapsed: "
-            f"{results['characterization_wall_seconds']:.1f}s vs best "
-            f"committed {best:.1f}s (ceiling {ceiling:.1f}s)"
-        )
 
 
 if __name__ == "__main__":

@@ -1,29 +1,30 @@
-"""The perf-regression sentinel: robust baselines over trajectories.
+"""The regression sentinel: robust baselines over trajectories.
 
 The repo-root ``BENCH_*.json`` files accumulate one entry per
-benchmarked build, which makes speed regressions visible PR-over-PR —
-*if* someone looks.  This module owns their format: the trajectory
+benchmarked build.  This module owns their format: the trajectory
 benches in ``benchmarks/`` append through :func:`append_entry`, which
 stamps every entry with the package version, git revision, host and
 whether the numbers are measured or modelled, and everything reads
 through :func:`trajectory_entries`.
 
-It is also the automated looker: for each tracked series it takes the
-trailing window of historical entries, computes a robust
-baseline (median ± MAD — a single outlier build cannot poison it), and
-classifies the newest entry ``ok`` / ``warn`` / ``regress`` against
-per-metric ratio thresholds.  ``repro obs check`` renders the table,
-writes machine-readable ``obs_check.json``, and exits nonzero on any
-``regress`` so CI can gate on it.
+It is also the only code that compares an entry with its history: for
+each tracked series it takes the trailing window of historical
+entries, computes a robust baseline (median ± MAD — a single outlier
+build cannot poison it), and classifies the newest entry ``ok`` /
+``warn`` / ``regress`` against per-metric ratio thresholds.  It tracks
+only series that identical code reproduces; host wall times are
+recorded in the entries but judged by the perfbench ledger instead.
+``repro obs check`` renders the table, writes machine-readable
+``obs_check.json``, and exits nonzero on any ``regress`` so CI can gate
+on it.
 
 Two sources feed the sentinel:
 
-* :func:`check_trajectories` — the committed ``BENCH_sweep.json`` /
-  ``BENCH_serve_load.json`` / ``BENCH_trace_throughput.json`` /
-  ``BENCH_scale_sweep.json`` series listed in :data:`TRACKED_SERIES`.
-  Fewer than two entries means there is nothing to compare yet; the
-  series reports ``no-history`` (which counts as ok) rather than
-  blocking young trajectories.
+* :func:`check_trajectories` — the committed ``BENCH_*.json`` series
+  listed in :data:`TRACKED_SERIES`.  A newest entry without the field
+  reports ``missing``; a field no earlier entry carries reports
+  ``no-history``.  Both count as ok, so young trajectories are not
+  blocked.
 * :func:`check_reports` — fresh :class:`~repro.harness.runner.
   KernelReport` metrics: per-kernel wall seconds (lower is better) and
   IPC (higher is better) of a candidate reports file against a baseline
@@ -87,46 +88,27 @@ class SeriesSpec:
     regress_ratio: float = 1.5
 
 
-#: The series `repro obs check` watches by default.  Latency thresholds
-#: are deliberately below 2.0 so a doubled latency is a hard regression;
-#: rate-style series get tight ratios because they are already
-#: normalized.
+#: The series `repro obs check` watches by default: only numbers that
+#: identical code reproduces — hit rates, simulated counts, modelled
+#: points, and in-run ratios and exponents.  Host wall times stay in the
+#: entries as data; speed is judged by the perfbench ledger, which
+#: alternates parent and change runs on one host.
 TRACKED_SERIES: tuple[SeriesSpec, ...] = (
-    SeriesSpec("serve_load.p50_ms", "BENCH_serve_load.json",
-               "p50_ms", "lower", warn_ratio=1.3, regress_ratio=1.8),
-    SeriesSpec("serve_load.p99_ms", "BENCH_serve_load.json",
-               "p99_ms", "lower", warn_ratio=1.3, regress_ratio=1.8),
-    SeriesSpec("serve_load.requests_per_sec", "BENCH_serve_load.json",
-               "requests_per_sec", "higher",
-               warn_ratio=1.3, regress_ratio=2.0),
     SeriesSpec("serve_load.served_without_execution_rate",
                "BENCH_serve_load.json", "served_without_execution_rate",
                "higher", warn_ratio=1.05, regress_ratio=1.25),
-    SeriesSpec("sweep.cold_points_per_sec", "BENCH_sweep.json",
-               "cold_points_per_sec", "higher",
-               warn_ratio=1.3, regress_ratio=2.0),
-    SeriesSpec("sweep.warm_speedup", "BENCH_sweep.json",
-               "warm_speedup", "higher", warn_ratio=1.5, regress_ratio=3.0),
     SeriesSpec("sweep.warm_cache_hit_rate", "BENCH_sweep.json",
                "warm_cache_hit_rate", "higher",
                warn_ratio=1.05, regress_ratio=1.25),
-    SeriesSpec("sweep.cold_wall_seconds", "BENCH_sweep.json",
-               "cold_wall_seconds", "lower",
-               warn_ratio=1.3, regress_ratio=2.0),
     SeriesSpec("trace_throughput.overall_speedup",
                "BENCH_trace_throughput.json", "overall_speedup",
                "higher", warn_ratio=1.3, regress_ratio=2.0),
-    SeriesSpec("trace_throughput.characterization_wall_seconds",
-               "BENCH_trace_throughput.json",
-               "characterization_wall_seconds", "lower",
-               warn_ratio=1.3, regress_ratio=2.0),
-    SeriesSpec("trace_throughput.instrument_replay_seconds",
-               "BENCH_trace_throughput.json",
-               "instrument_replay_seconds", "lower",
-               warn_ratio=1.3, regress_ratio=2.0),
-    SeriesSpec("scale_sweep.wall_growth_exponent", "BENCH_scale_sweep.json",
-               "wall_growth_exponent", "lower",
-               warn_ratio=1.2, regress_ratio=1.5),
+    SeriesSpec("trace_throughput.instrument_replay_calls",
+               "BENCH_trace_throughput.json", "instrument_replay_calls",
+               "lower", warn_ratio=1.05, regress_ratio=1.25),
+    SeriesSpec("trace_throughput.replay_instructions",
+               "BENCH_trace_throughput.json", "replay_instructions",
+               "lower", warn_ratio=1.05, regress_ratio=1.25),
     SeriesSpec("scale_sweep.memory_growth_exponent",
                "BENCH_scale_sweep.json", "memory_growth_exponent",
                "lower", warn_ratio=1.2, regress_ratio=1.5),
@@ -218,20 +200,6 @@ def classify(history: Sequence[float], value: float,
     return check
 
 
-def series_values(root: Path, spec: SeriesSpec) -> "list[float] | None":
-    """The trajectory values for *spec* under *root*, oldest first;
-    None when the trajectory file is absent."""
-    if not (root / spec.file).exists():
-        return None
-    name = spec.file.removeprefix("BENCH_").removesuffix(".json")
-    values = []
-    for entry in trajectory_entries(name, root):
-        raw = entry.get(spec.field)
-        if isinstance(raw, (int, float)):
-            values.append(float(raw))
-    return values
-
-
 def repo_root() -> Path:
     """The checkout root (where the BENCH_*.json trajectories live)."""
     return Path(__file__).resolve().parents[3]
@@ -263,7 +231,7 @@ def append_entry(name: str, entry: dict, kind: str,
     The stamps say what produced the numbers: the package ``version``,
     the ``git_sha``, the ``host`` architecture, and ``kind`` —
     ``"measured"`` for timed runs, ``"modelled"`` for analytic ones.
-    Returns the entries that were there before, for the caller's guard.
+    Returns the entries that were there before.
     """
     if kind not in TRAJECTORY_KINDS:
         raise ReproError(f"trajectory kind must be one of "
@@ -282,26 +250,36 @@ def check_trajectories(
     specs: Iterable[SeriesSpec] = TRACKED_SERIES,
     window: int = DEFAULT_WINDOW,
 ) -> list[SeriesCheck]:
-    """Classify the newest entry of every tracked trajectory series."""
+    """Classify the newest entry of every tracked trajectory series
+    against the earlier entries that carry the field.  A newest entry
+    without the field is ``missing``: an older entry never stands in
+    for it."""
     base = Path(root) if root is not None else repo_root()
     checks = []
     for spec in specs:
-        values = series_values(base, spec)
-        if values is None:
-            checks.append(SeriesCheck(
-                series=spec.name, file=spec.file, status="missing",
-                direction=spec.direction,
-                note=f"{spec.file} not found under {base}"))
+        name = spec.file.removeprefix("BENCH_").removesuffix(".json")
+        entries = trajectory_entries(name, base)
+        newest = entries[-1] if entries else {}
+        if _is_number(newest.get(spec.field)):
+            history = [float(e[spec.field]) for e in entries[:-1]
+                       if _is_number(e.get(spec.field))]
+            checks.append(classify(history[-window:],
+                                   float(newest[spec.field]), spec))
             continue
-        if not values:
-            checks.append(SeriesCheck(
-                series=spec.name, file=spec.file, status="missing",
-                direction=spec.direction,
-                note=f"{spec.file} has no {spec.field!r} entries"))
-            continue
-        history = values[:-1][-window:]
-        checks.append(classify(history, values[-1], spec))
+        if entries:
+            note = (f"newest entry (version {newest.get('version', '?')}, "
+                    f"git_sha {newest.get('git_sha', '?')}) has no "
+                    f"{spec.field!r}")
+        else:
+            note = f"no entries in {base / spec.file}"
+        checks.append(SeriesCheck(series=spec.name, file=spec.file,
+                                  status="missing", direction=spec.direction,
+                                  note=note))
     return checks
+
+
+def _is_number(raw: object) -> bool:
+    return isinstance(raw, (int, float))
 
 
 def check_reports(candidate: dict, baseline: dict,

@@ -27,6 +27,11 @@ LOWER = SeriesSpec("t.latency", "BENCH_t.json", "latency", "lower",
 HIGHER = SeriesSpec("t.rate", "BENCH_t.json", "rate", "higher",
                     warn_ratio=1.3, regress_ratio=2.0)
 
+#: The seeded regression: hit rates halved, simulated work doubled.
+DEGRADE = {"served_without_execution_rate": 0.5,
+           "warm_cache_hit_rate": 0.5,
+           "replay_instructions": 2.0}
+
 
 class TestRobustCenter:
     def test_median_and_mad(self):
@@ -131,25 +136,54 @@ class TestCheckTrajectories:
 
     def test_degraded_copy_regresses(self, tmp_path):
         # The CI smoke scenario: clone the committed trajectories,
-        # append an entry with doubled latency / quartered throughput,
-        # and the sentinel must fire.
-        for name in ("BENCH_serve_load.json", "BENCH_sweep.json"):
+        # append an entry with halved hit rates and doubled simulated
+        # work, and the sentinel must fire on exactly those series.
+        for name in ("BENCH_serve_load.json", "BENCH_sweep.json",
+                     "BENCH_trace_throughput.json"):
             source = baseline.repo_root() / name
             payload = json.loads(source.read_text())
             entry = dict(payload["entries"][-1])
-            for field in ("p50_ms", "p99_ms", "cold_wall_seconds"):
+            for field, factor in DEGRADE.items():
                 if field in entry:
-                    entry[field] = entry[field] * 2.0
-            for field in ("cold_points_per_sec", "warm_speedup",
-                          "requests_per_sec"):
-                if field in entry:
-                    entry[field] = entry[field] / 4.0
+                    entry[field] = entry[field] * factor
             payload["entries"] = payload["entries"] + [entry]
             (tmp_path / name).write_text(json.dumps(payload))
         checks = check_trajectories(root=tmp_path)
         assert overall_status(checks) == "regress"
         regressed = {c.series for c in checks if c.status == "regress"}
-        assert "serve_load.p50_ms" in regressed
+        assert regressed == {"serve_load.served_without_execution_rate",
+                             "sweep.warm_cache_hit_rate",
+                             "trace_throughput.replay_instructions"}
+
+    def test_newest_entry_without_the_field_is_missing(self, tmp_path):
+        # An older entry must never be judged as if it were the newest.
+        entries = [{"latency": 10.0}] * 3 + [
+            {"other": 1.0, "version": "9.9.9", "git_sha": "abc1234"}]
+        (tmp_path / "BENCH_t.json").write_text(
+            json.dumps({"bench": "t", "entries": entries}))
+        (check,) = check_trajectories(root=tmp_path, specs=[LOWER])
+        assert check.status == "missing"
+        assert check.value is None
+        assert "9.9.9" in check.note and "abc1234" in check.note
+
+    def test_history_skips_entries_without_the_field(self, tmp_path):
+        entries = [{"latency": 10.0}, {"other": 1.0}, {"latency": 20.0}]
+        (tmp_path / "BENCH_t.json").write_text(
+            json.dumps({"bench": "t", "entries": entries}))
+        (check,) = check_trajectories(root=tmp_path, specs=[LOWER])
+        assert (check.value, check.baseline, check.window) == (20.0, 10.0, 1)
+        assert check.status == "regress"
+
+    @pytest.mark.parametrize("spec", baseline.TRACKED_SERIES,
+                             ids=lambda spec: spec.name)
+    def test_newest_committed_entry_carries_every_tracked_field(self, spec):
+        # A bench that stops writing a tracked field fails here rather
+        # than reading `missing` (which counts as ok) in the sentinel.
+        name = spec.file.removeprefix("BENCH_").removesuffix(".json")
+        entries = baseline.trajectory_entries(name)
+        assert entries, f"{spec.file} has no committed entries"
+        assert isinstance(entries[-1].get(spec.field), (int, float)), (
+            f"newest entry of {spec.file} lacks {spec.field!r}")
 
 
 class TestAppendEntry:
